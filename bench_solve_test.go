@@ -38,7 +38,7 @@ var benchModes = []struct {
 	options cimsa.Options
 }{
 	{"sequential", cimsa.Options{Seed: 7, SkipHardware: true}},
-	{"pooled", cimsa.Options{Seed: 7, SkipHardware: true, Parallel: true}},
+	{"pooled", cimsa.Options{Seed: 7, SkipHardware: true, Workers: runtime.GOMAXPROCS(0)}},
 	{"auto", cimsa.Options{Seed: 7, SkipHardware: true, Workers: cimsa.WorkersAuto}},
 }
 

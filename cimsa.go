@@ -11,10 +11,13 @@
 //
 //	result, err := cimsa.Solve(instance, cimsa.Options{PMax: 3})
 //
-// For finer control (custom noise schedules, ablation modes, PPA
-// technology constants) construct a core annealer via Options.Advanced
-// fields; the internal packages are reachable for code inside this
-// module (examples, cmd tools, benchmarks).
+// Options is the one design point every front end fills in: the CLI
+// flags, the service's wire schema and the benchmarks all map onto it.
+// The clustering strategy (semi-flexible at PMax), the noise schedule
+// (the paper's 400-iteration 300→580 mV ramp) and the PPA technology
+// (16 nm) are fixed; code inside this module that needs to vary them
+// drives the internal packages directly (examples, cmd tools,
+// experiments).
 package cimsa
 
 import (
@@ -27,7 +30,6 @@ import (
 
 	"cimsa/internal/checkpoint"
 	"cimsa/internal/clustered"
-	"cimsa/internal/core"
 	"cimsa/internal/noise"
 	"cimsa/internal/ppa"
 	"cimsa/internal/tour"
@@ -46,12 +48,14 @@ type Instance = tsplib.Instance
 // count it is bit-identical to sequential execution.
 const WorkersAuto = clustered.WorkersAuto
 
+// MaxWorkers is the largest explicit Options.Workers that Validate
+// accepts. The pool allocates per-worker state up front, so an absurd
+// count from a flag or a request body must be rejected before it
+// reaches the solver; no host this targets has more cores than this.
+const MaxWorkers = 1024
+
 // Tour is a cyclic visiting order of city indices.
 type Tour = tour.Tour
-
-// Report is the full solve outcome: solution, quality vs the classical
-// reference solver, annealing statistics and the hardware PPA estimate.
-type Report = core.Report
 
 // ChipReport is the hardware performance/power/area estimate.
 type ChipReport = ppa.ChipReport
@@ -73,20 +77,16 @@ type Options struct {
 	Reference bool
 	// SkipHardware disables the chip PPA estimate.
 	SkipHardware bool
-	// Parallel updates non-adjacent clusters across a persistent worker
-	// pool, like the hardware updates all same-phase windows at once.
-	// Results are bit-identical to the sequential mode.
-	Parallel bool
-	// Workers sets the worker-pool size: any value > 1 enables the pool
-	// on its own, 1 forces fully inline execution, 0 picks GOMAXPROCS
-	// when Parallel is set (and stays sequential otherwise), and
-	// WorkersAuto (-1) lets the solver choose from the instance size and
-	// GOMAXPROCS — sequential where the pool cannot pay for its own
-	// hand-offs, pooled at paper scale. Every worker count produces
-	// bit-identical results — enforced in clustered's determinism tests
-	// and again at the service boundary (internal/faultinject), where
-	// solves run next to cancelled siblings with the scheduler's
-	// Progress hook injected.
+	// Workers sets the worker-pool size, which updates non-adjacent
+	// clusters concurrently like the hardware updates all same-phase
+	// windows at once: any value > 1 (up to MaxWorkers) runs that many
+	// workers, 0 or 1 runs fully inline, and WorkersAuto (-1) lets the
+	// solver choose from the instance size and GOMAXPROCS — sequential
+	// where the pool cannot pay for its own hand-offs, pooled at paper
+	// scale. Every worker count produces bit-identical results —
+	// enforced in clustered's determinism tests and again at the
+	// service boundary (internal/faultinject), where solves run next to
+	// cancelled siblings with the scheduler's Progress hook injected.
 	Workers int
 	// Mode selects the randomness source by name: "noisy-cim" (default),
 	// "metropolis", "greedy" or "noisy-spins" (the ablations of
@@ -154,13 +154,14 @@ func (o Options) Validate() error {
 	if o.Workers < WorkersAuto {
 		return fmt.Errorf("cimsa: negative Workers %d (only WorkersAuto = %d is allowed below 0)", o.Workers, WorkersAuto)
 	}
+	if o.Workers > MaxWorkers {
+		return fmt.Errorf("cimsa: Workers %d above the limit %d", o.Workers, MaxWorkers)
+	}
 	if o.Restarts < 0 {
 		return fmt.Errorf("cimsa: negative Restarts %d", o.Restarts)
 	}
-	if o.Mode != "" {
-		if _, err := clustered.ParseMode(o.Mode); err != nil {
-			return fmt.Errorf("cimsa: unknown Mode %q (noisy-cim | metropolis | greedy | noisy-spins)", o.Mode)
-		}
+	if _, err := o.mode(); err != nil {
+		return fmt.Errorf("cimsa: unknown Mode %q (noisy-cim | metropolis | greedy | noisy-spins)", o.Mode)
 	}
 	if o.Fabric != "" {
 		if _, err := noise.New(o.Fabric, 0); err != nil {
@@ -183,33 +184,16 @@ func Solve(in *Instance, opt Options) (*Report, error) {
 
 // SolveContext is Solve with cancellation: ctx is checked between
 // chromatic phases and at write-back epochs, so even 100k-city solves
-// abort promptly. A run whose context is never cancelled is
+// abort promptly (the optional reference solver runs afterwards and is
+// not interruptible). A run whose context is never cancelled is
 // bit-identical to Solve with the same options — the plumbing consumes
 // no randomness.
 func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	mode := clustered.ModeNoisyCIM
-	if opt.Mode != "" {
-		m, err := clustered.ParseMode(opt.Mode)
-		if err != nil {
-			return nil, err
-		}
-		mode = m
-	}
-	cfg := core.Config{
-		PMax:               opt.PMax,
-		Seed:               opt.Seed,
-		Mode:               mode,
-		Fabric:             opt.Fabric,
-		FabricSeed:         opt.FabricSeed,
-		SkipHardwareReport: opt.SkipHardware,
-		Parallel:           opt.Parallel,
-		Workers:            opt.Workers,
-		Restarts:           opt.Restarts,
-		Progress:           opt.Progress,
-	}
+	var hook func(*checkpoint.Snapshot) error
+	var resume *checkpoint.Snapshot
 	if ck := opt.Checkpoint; ck.Dir != "" {
 		if err := os.MkdirAll(ck.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("cimsa: checkpoint dir: %w", err)
@@ -219,7 +203,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, erro
 			snap, err := checkpoint.Load(path)
 			switch {
 			case err == nil:
-				cfg.Resume = snap
+				resume = snap
 				if ck.OnResume != nil {
 					ck.OnResume(path)
 				}
@@ -235,7 +219,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, erro
 		}
 		epochs := 0
 		onWrite := ck.OnWrite
-		cfg.Checkpoint = func(s *checkpoint.Snapshot) error {
+		hook = func(s *checkpoint.Snapshot) error {
 			// Epoch snapshots honour the cadence; restart boundaries and
 			// cancellation flushes always hit disk — they are the last
 			// state the interrupted run will ever offer.
@@ -255,14 +239,7 @@ func SolveContext(ctx context.Context, in *Instance, opt Options) (*Report, erro
 			return nil
 		}
 	}
-	a, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if opt.Reference {
-		return a.SolveWithReferenceContext(ctx, in)
-	}
-	return a.SolveContext(ctx, in)
+	return solve(ctx, in, opt, hook, resume)
 }
 
 // SolveName solves a built-in registry instance (e.g. "pcb3038",

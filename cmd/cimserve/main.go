@@ -13,7 +13,7 @@
 // Submit a TSP job (legacy top-level schema, still accepted):
 //
 //	curl -s localhost:8080/v1/jobs -d '{"generate":{"name":"pcb-like","n":10000,"seed":7},
-//	  "options":{"pmax":3,"seed":1,"parallel":true,"skip_hardware":true}}'
+//	  "options":{"pmax":3,"seed":1,"workers":-1,"skip_hardware":true}}'
 //
 // Submit a Max-Cut job (problem-section schema):
 //

@@ -93,21 +93,17 @@ type Options struct {
 	// paths and inter-cluster link edges, in centroid-distance units)
 	// after every iteration of every annealed level.
 	RecordTrace bool
-	// Parallel updates the clusters of each chromatic phase across a
-	// persistent worker pool, mirroring the hardware's
-	// all-windows-at-once update. Results are bit-identical to the
-	// sequential mode: proposals and accept randomness are derived from
-	// (seed, level, iteration, cluster) counters, not from a shared
-	// stream.
-	Parallel bool
-	// Workers sets the worker-pool size: > 0 fixes it explicitly (1
-	// forces fully inline execution), 0 picks GOMAXPROCS when Parallel
-	// is set and 1 otherwise, and WorkersAuto (-1) resolves it from the
-	// instance size and GOMAXPROCS — sequential for small instances,
-	// pooled for paper-scale ones. Whatever the pool size, each phase
-	// only engages as many workers as it has cursor grabs for, so upper
-	// hierarchy levels run inline even on a wide pool. Every value
-	// produces bit-identical results.
+	// Workers sets the size of the persistent worker pool that updates
+	// the clusters of each chromatic phase concurrently, mirroring the
+	// hardware's all-windows-at-once update: > 0 fixes it explicitly (1
+	// forces fully inline execution), 0 means 1, and WorkersAuto (-1)
+	// resolves it from the instance size and GOMAXPROCS — sequential for
+	// small instances, pooled for paper-scale ones. Whatever the pool
+	// size, each phase only engages as many workers as it has cursor
+	// grabs for, so upper hierarchy levels run inline even on a wide
+	// pool. Every value produces bit-identical results: proposals and
+	// accept randomness are derived from (seed, level, iteration,
+	// cluster) counters, not from a shared stream.
 	Workers int
 	// WeightBits truncates stored weights to this many significant bits
 	// (1-8); 0 or 8 keeps full precision. Precision ablation for the
@@ -144,7 +140,7 @@ type Options struct {
 // weight windows — plus a final event per level with Iter == Iters.
 type ProgressEvent struct {
 	// Restart is the replica index for multi-restart solves (filled by
-	// package core; always 0 for a direct clustered.Solve).
+	// the cimsa replica loop; always 0 for a direct clustered.Solve).
 	Restart int `json:"restart"`
 	// Level is the annealed level index, 0 = the first (topmost)
 	// annealed level; Levels is the total annealed level count.

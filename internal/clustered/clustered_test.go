@@ -316,7 +316,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 	for _, mode := range []Mode{ModeNoisyCIM, ModeMetropolis} {
 		seq := solveOpts(mode, 32)
 		par := solveOpts(mode, 32)
-		par.Parallel = true
+		par.Workers = 4
 		a, err := Solve(in, seq)
 		if err != nil {
 			t.Fatal(err)
@@ -358,7 +358,6 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			}
 			for _, wk := range workerCounts {
 				opt := solveOpts(mode, 63)
-				opt.Parallel = true
 				opt.Workers = wk
 				res, err := Solve(in, opt)
 				if err != nil {

@@ -51,16 +51,14 @@ const (
 	autoCitiesPerWorker = 2500
 )
 
-// effectiveWorkers resolves the Workers/Parallel knobs to a pool size
-// for an n-city instance.
+// effectiveWorkers resolves Options.Workers to a pool size for an
+// n-city instance.
 func (o Options) effectiveWorkers(n int) int {
 	switch {
 	case o.Workers == WorkersAuto:
 		return autoWorkers(n, runtime.GOMAXPROCS(0))
 	case o.Workers > 0:
 		return o.Workers
-	case o.Parallel:
-		return runtime.GOMAXPROCS(0)
 	default:
 		return 1
 	}
@@ -194,13 +192,18 @@ type executor struct {
 	shards  []statShard
 	job     poolJob
 
-	// Barrier state. epoch advances once per pooled dispatch; fan is
-	// the engaged background-worker count for the current epoch;
-	// pending counts engaged workers still running. parks[w-1] is
-	// background worker w's slot; dpark is the dispatcher's completion
-	// wait. closed tells workers to exit.
-	epoch   atomic.Uint64
-	fan     atomic.Int32
+	// Barrier state. gen packs the epoch, which advances once per
+	// pooled dispatch (high 32 bits), with that epoch's engaged
+	// background-worker count, its fan (low 32 bits). One load must
+	// yield both: a worker the previous epoch did not engage is not
+	// waited for, so with separate words it could pair that epoch with
+	// the next dispatch's wider fan, run the next job early and
+	// decrement pending twice — releasing the dispatcher while a worker
+	// still runs, and later deadlocking the barrier. pending counts
+	// engaged workers still running. parks[w-1] is background worker
+	// w's slot; dpark is the dispatcher's completion wait. closed tells
+	// workers to exit.
+	gen     atomic.Uint64
 	pending atomic.Int32
 	closed  atomic.Bool
 	parks   []*parkSlot
@@ -254,11 +257,19 @@ func (ex *executor) close() {
 		return
 	}
 	ex.closed.Store(true)
-	ex.fan.Store(0)
-	ex.epoch.Add(1)
+	ex.advance(0)
 	for _, s := range ex.parks {
 		s.wakeIfParked()
 	}
+}
+
+// epoch is the current dispatch epoch.
+func (ex *executor) epoch() uint64 { return ex.gen.Load() >> 32 }
+
+// advance publishes the next epoch together with its fan. Only the
+// dispatching goroutine calls it, so the load-then-store cannot race.
+func (ex *executor) advance(fan int32) {
+	ex.gen.Store((ex.epoch()+1)<<32 | uint64(uint32(fan)))
 }
 
 // workerLoop is one background worker: wait for the epoch to advance,
@@ -269,16 +280,16 @@ func (ex *executor) workerLoop(w int) {
 	slot := ex.parks[w-1]
 	var seen uint64
 	for {
-		e := ex.epoch.Load()
+		g := ex.gen.Load()
 		if ex.closed.Load() {
 			return
 		}
-		if e == seen {
+		if g>>32 == seen {
 			ex.waitEpoch(slot, seen)
 			continue
 		}
-		seen = e
-		if int32(w) <= ex.fan.Load() {
+		seen = g >> 32
+		if int32(w) <= int32(uint32(g)) {
 			ex.run(w, &ex.job)
 			if ex.pending.Add(-1) == 0 {
 				ex.dpark.wakeIfParked()
@@ -296,13 +307,13 @@ func (ex *executor) workerLoop(w int) {
 // atomics); a missed-wake sleep cannot happen.
 func (ex *executor) waitEpoch(slot *parkSlot, seen uint64) {
 	for i := 0; i < spinWait; i++ {
-		if ex.epoch.Load() != seen {
+		if ex.epoch() != seen {
 			return
 		}
 		runtime.Gosched()
 	}
 	slot.parked.Store(true)
-	if ex.epoch.Load() != seen || ex.closed.Load() {
+	if ex.epoch() != seen || ex.closed.Load() {
 		// Advanced while parking: retract the park, or — if a waker
 		// already won the CAS — consume the token it guaranteed.
 		if !slot.parked.CompareAndSwap(true, false) {
@@ -438,8 +449,7 @@ func (ex *executor) runStep(job *poolJob, st *dispatchStep) {
 		return
 	}
 	ex.pending.Store(st.fan)
-	ex.fan.Store(st.fan)
-	ex.epoch.Add(1)
+	ex.advance(st.fan)
 	for i := int32(0); i < st.fan; i++ {
 		ex.parks[i].wakeIfParked()
 	}

@@ -10,9 +10,8 @@ import (
 	"cimsa/internal/tsplib"
 )
 
-// TestEffectiveWorkers pins the Workers/Parallel resolution table,
-// including the WorkersAuto sentinel and the 0/1 edge cases with and
-// without Parallel.
+// TestEffectiveWorkers pins the Workers resolution table, including the
+// WorkersAuto sentinel and the 0/1 edge cases.
 func TestEffectiveWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	cases := []struct {
@@ -22,13 +21,9 @@ func TestEffectiveWorkers(t *testing.T) {
 		want int
 	}{
 		{"zero sequential", Options{}, 5000, 1},
-		{"zero parallel", Options{Parallel: true}, 5000, procs},
 		{"one inline", Options{Workers: 1}, 5000, 1},
-		{"one inline despite parallel", Options{Workers: 1, Parallel: true}, 5000, 1},
 		{"explicit", Options{Workers: 5}, 50, 5},
-		{"explicit overrides parallel", Options{Workers: 3, Parallel: true}, 50, 3},
 		{"auto small instance", Options{Workers: WorkersAuto}, autoMinCities - 1, 1},
-		{"auto small despite parallel", Options{Workers: WorkersAuto, Parallel: true}, autoMinCities - 1, 1},
 	}
 	for _, c := range cases {
 		if got := c.opt.effectiveWorkers(c.n); got != c.want {
@@ -190,7 +185,7 @@ func TestIdleWorkersNotWoken(t *testing.T) {
 	}
 
 	// One-grab dispatch: inline, no epoch advance, no wakes anywhere.
-	epochBefore := ex.epoch.Load()
+	epochBefore := ex.epoch()
 	items.Store(0)
 	job.phase = make([]int, 5)
 	st = dispatchStep{phase: job.phase, items: 5, grab: 8, fan: 0}
@@ -198,7 +193,7 @@ func TestIdleWorkersNotWoken(t *testing.T) {
 	if got := items.Load(); got != 5 {
 		t.Fatalf("inline dispatch processed %d items, want 5", got)
 	}
-	if e := ex.epoch.Load(); e != epochBefore {
+	if e := ex.epoch(); e != epochBefore {
 		t.Fatalf("inline dispatch advanced the epoch %d -> %d", epochBefore, e)
 	}
 	if runs[0].Load() != 2 {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -320,6 +321,10 @@ func (c *Coordinator) Claim(name string) (*Grant, error) {
 		}
 	}
 	n.claimed[id] = struct{}{}
+	// A cancel still pending from an earlier revoked lease of this job
+	// targets that attempt, not this one: delivered on the next
+	// heartbeat, it would kill the fresh solve and fail the job.
+	n.cancels = slices.DeleteFunc(n.cancels, func(c string) bool { return c == id })
 	g := &Grant{
 		JobID:           id,
 		Problem:         o.job.Problem,

@@ -858,3 +858,40 @@ func TestStaleShipAfterReclaim(t *testing.T) {
 		t.Fatalf("checkpoint on disk = %q, %v; want from-b", data, err)
 	}
 }
+
+// TestReclaimDropsStaleCancel: a node whose lease was revoked while it
+// was partitioned can claim the same job again before its next
+// heartbeat. The cancel queued by the revocation targets the old
+// attempt; delivering it would kill the fresh solve and fail the job.
+func TestReclaimDropsStaleCancel(t *testing.T) {
+	clk := newFakeClock()
+	coord := fleet.NewCoordinator(fleet.Config{Lease: 10 * time.Second, Now: clk.Now})
+	if err := coord.Register("a"); err != nil {
+		t.Fatal(err)
+	}
+	go coord.Offer(context.Background(), fleet.Job{ID: "r1", Source: json.RawMessage(`{}`)}, problem.Run{})
+	waitUntil(t, "r1 claimable", func() bool { return coord.Stats().Claimable == 1 })
+
+	g1, err := coord.Claim("a")
+	if err != nil || g1 == nil {
+		t.Fatalf("claim: %v, %v", g1, err)
+	}
+	clk.Advance(11 * time.Second)
+	if n := coord.Sweep(); n != 1 {
+		t.Fatalf("sweep revoked %d, want 1", n)
+	}
+	g2, err := coord.Claim("a")
+	if err != nil || g2 == nil {
+		t.Fatalf("re-claim: %v, %v", g2, err)
+	}
+	cancels, err := coord.Heartbeat("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cancels) != 0 {
+		t.Fatalf("heartbeat after re-claim cancels %v; the fresh claim must survive", cancels)
+	}
+	if err := coord.Complete("r1", "a", g2.Token, &problem.Result{Problem: "tsp"}, ""); err != nil {
+		t.Fatalf("completing the re-claim: %v", err)
+	}
+}

@@ -92,8 +92,8 @@ type Task interface {
 	// DesignHash is a canonical hash of the run: every solve parameter
 	// that can change the result (seed, sweeps, mode, restarts, ...)
 	// plus a per-backend solver-version tag, and nothing else —
-	// execution knobs that are bit-identical by construction (worker
-	// count, parallel mode) are excluded. (InstanceHash, DesignHash)
+	// execution knobs that are bit-identical by construction (the
+	// worker count) are excluded. (InstanceHash, DesignHash)
 	// therefore identifies a solve's output exactly, which is what
 	// makes exact-match result caching correct; bumping a backend's
 	// version tag invalidates its cached results across releases.

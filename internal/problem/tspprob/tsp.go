@@ -70,12 +70,15 @@ type OptionsSpec struct {
 	Seed     uint64 `json:"seed,omitempty"`
 	Mode     string `json:"mode,omitempty"`
 	Restarts int    `json:"restarts,omitempty"`
-	Parallel bool   `json:"parallel,omitempty"`
-	// Workers follows cimsa.Options.Workers: a count, 0 (GOMAXPROCS
-	// with parallel), or -1 for auto — the right setting for a service
-	// fielding mixed job sizes, since each solve picks sequential or
-	// pooled for itself. Any other negative value is rejected by
-	// validation.
+	// Parallel is accepted and ignored: it predates Workers, and the
+	// strict decoder must keep replaying journal lines and serving
+	// clients that still send it.
+	Parallel bool `json:"parallel,omitempty"`
+	// Workers follows cimsa.Options.Workers: a count (0 or 1 runs
+	// inline, at most cimsa.MaxWorkers), or -1 for auto — the right
+	// setting for a service fielding mixed job sizes, since each solve
+	// picks sequential or pooled for itself. Any other negative value is
+	// rejected by validation.
 	Workers      int  `json:"workers,omitempty"`
 	Reference    bool `json:"reference,omitempty"`
 	SkipHardware bool `json:"skip_hardware,omitempty"`
@@ -102,7 +105,6 @@ func (o OptionsSpec) ToOptions() cimsa.Options {
 		Seed:         o.Seed,
 		Mode:         o.Mode,
 		Restarts:     o.Restarts,
-		Parallel:     o.Parallel,
 		Workers:      o.Workers,
 		Reference:    o.Reference,
 		SkipHardware: o.SkipHardware,
@@ -198,9 +200,10 @@ func (t *Task) InstanceHash() string {
 const SolverVersion = "tsp/v1"
 
 // DesignHash folds every option that can change the solve's output —
-// and nothing else. Parallel and Workers are deliberately excluded:
-// results are bit-identical at every worker count (enforced by the
-// determinism tests), so they are execution detail, not design.
+// and nothing else. Workers is deliberately excluded: results are
+// bit-identical at every worker count (enforced by the determinism
+// tests), so it is execution detail, not design; the inert Parallel
+// wire field never reaches the solver at all.
 //
 // The fabric's identity (kind, model parameters, implementation
 // version) is folded via the registry, so the result cache can never

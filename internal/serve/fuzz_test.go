@@ -61,6 +61,10 @@ func FuzzSubmitDecode(f *testing.F) {
 		`{"problem":"tsp","tsp":{"generate":{"n":50,"seed":1},"options":{"fabric":"mram"}}}`,
 		`{"problem":"tsp","tsp":{"generate":{"n":50,"seed":1},"options":{"fabric":["sram"]}}}`,
 		`{"problem":"tsp","tsp":{"generate":{"n":50,"seed":1},"options":{"fabric":{"kind":"clean","seed":-1}}}}`,
+		// A worker pool too large to allocate must fail validation (a
+		// 400), never reach the solver.
+		`{"problem":"tsp","tsp":{"generate":{"n":50,"seed":1},"options":{"workers":1000000000000}}}`,
+		`{"generate":{"n":50,"seed":1},"options":{"parallel":true,"workers":1000000000000}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -102,7 +106,11 @@ func FuzzSubmitDecode(f *testing.F) {
 		if task.Size() > cap {
 			t.Fatalf("%s task of size %d survived cap %d", task.Problem(), task.Size(), cap)
 		}
-		_ = task.Validate()
+		if err := task.Validate(); err == nil {
+			if tt, ok := task.(*tspprob.Task); ok && tt.Options().Workers > cimsa.MaxWorkers {
+				t.Fatalf("tsp task with %d workers passed validation", tt.Options().Workers)
+			}
+		}
 	})
 }
 

@@ -302,6 +302,36 @@ func TestRecoverDropsUnbuildableEntry(t *testing.T) {
 	}
 }
 
+// TestRecoverDropsOversizedWorkers: a journaled request whose worker
+// count the solver could never allocate (written before Validate
+// bounded Workers) fails validation on rebuild and is dropped like any
+// other unbuildable record, instead of crashing the server at boot.
+func TestRecoverDropsOversizedWorkers(t *testing.T) {
+	stateDir := t.TempDir()
+	path := filepath.Join(stateDir, "journal.jsonl")
+	j, _ := openTestJournal(t, path)
+	body := json.RawMessage(`{"generate":{"n":40,"seed":1},"options":{"seed":1,"skip_hardware":true,"workers":1000000000000}}`)
+	if err := j.Submitted("j0001-huge00", "", time.Unix(1, 0), "tsp", body); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	srv, sched, entries := bootServer(t, stateDir)
+	if got := srv.Recover(entries); got != 0 {
+		t.Fatalf("oversized-workers entry recovered %d jobs", got)
+	}
+	if _, ok := sched.Get("j0001-huge00"); ok {
+		t.Fatal("oversized-workers job was enqueued")
+	}
+	if srv.recoveryFailures.Load() != 1 {
+		t.Fatalf("recoveryFailures = %d", srv.recoveryFailures.Load())
+	}
+	sched.Shutdown(context.Background())
+	_, entries = openTestJournal(t, path)
+	if len(entries) != 0 {
+		t.Fatalf("dropped entry still live: %+v", entries)
+	}
+}
+
 // TestHealthzReportsRecovery: 503 while recovering, then 200 with the
 // tallies.
 func TestHealthzReportsRecovery(t *testing.T) {
@@ -402,9 +432,10 @@ func TestSubmitJournalsThroughHTTP(t *testing.T) {
 // TestJournalMixedVersionReplay replays a journal whose lines span the
 // service's whole history — a pre-multi-problem record (no problem
 // field, legacy TSP schema), a pre-tenancy/pre-fabric record, a modern
-// tenanted record with an explicit fabric, fleet claim/release records,
-// and a torn trailing line — and requires every surviving entry to be
-// recovered faithfully and to still build a runnable task.
+// tenanted record with an explicit fabric, a record carrying the
+// retired "parallel" flag, fleet claim/release records, and a torn
+// trailing line — and requires every surviving entry to be recovered
+// faithfully and to still build a runnable task.
 func TestJournalMixedVersionReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	lines := []string{
@@ -418,6 +449,9 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 		`{"op":"end","id":"gone"}`,
 		// v2: modern record — tenanted, explicit fabric selection.
 		`{"op":"submit","id":"v2","problem":"tsp","tenant":"acme","submitted":"2026-08-01T10:00:00Z","request":{"tsp":{"generate":{"name":"modern","n":40,"seed":4},"options":{"pmax":2,"seed":4,"skip_hardware":true,"fabric":{"kind":"mram","seed":7}}}}}`,
+		// inert: a client that still sends the retired "parallel" flag
+		// next to an explicit worker count.
+		`{"op":"submit","id":"inert","problem":"tsp","submitted":"2026-09-01T10:00:00Z","request":{"tsp":{"generate":{"name":"inert","n":40,"seed":5},"options":{"pmax":2,"seed":5,"skip_hardware":true,"parallel":true,"workers":4}}}}`,
 		// Fleet era: v1 was claimed and released (lease expired), v2 holds
 		// an outstanding claim. A claim for a retired job is ignored.
 		`{"op":"claim","id":"v1","node":"w0","expires":"2026-08-01T10:01:00Z"}`,
@@ -432,8 +466,8 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 	}
 
 	_, entries := openTestJournal(t, path)
-	if len(entries) != 3 {
-		t.Fatalf("replay returned %d entries (%+v), want 3", len(entries), entries)
+	if len(entries) != 4 {
+		t.Fatalf("replay returned %d entries (%+v), want 4", len(entries), entries)
 	}
 	byID := map[string]JournalEntry{}
 	for _, e := range entries {
@@ -452,8 +486,8 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 	if v2.Tenant != "acme" || v2.ClaimedBy != "w1" || v2.ClaimExpires.IsZero() {
 		t.Fatalf("modern entry lost tenancy or its outstanding claim: %+v", v2)
 	}
-	if entries[0].ID != "v0" || entries[1].ID != "v1" || entries[2].ID != "v2" {
-		t.Fatalf("submission order lost: %v, %v, %v", entries[0].ID, entries[1].ID, entries[2].ID)
+	if entries[0].ID != "v0" || entries[1].ID != "v1" || entries[2].ID != "v2" || entries[3].ID != "inert" {
+		t.Fatalf("submission order lost: %v, %v, %v, %v", entries[0].ID, entries[1].ID, entries[2].ID, entries[3].ID)
 	}
 
 	// Every surviving generation must still build a runnable task
@@ -470,6 +504,31 @@ func TestJournalMixedVersionReplay(t *testing.T) {
 		if task.Problem() != "tsp" {
 			t.Fatalf("entry %s: rebuilt as %q", e.ID, task.Problem())
 		}
+	}
+
+	// The inert fields are execution detail: the record caches and
+	// coalesces with the same request sent without them.
+	var inertReq, plainReq SubmitRequest
+	if err := json.Unmarshal(byID["inert"].Request, &inertReq); err != nil {
+		t.Fatal(err)
+	}
+	plain := `{"tsp":{"generate":{"name":"inert","n":40,"seed":5},"options":{"pmax":2,"seed":5,"skip_hardware":true}}}`
+	if err := json.Unmarshal([]byte(plain), &plainReq); err != nil {
+		t.Fatal(err)
+	}
+	inertTask, err := TaskFor(&inertReq, problem.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainTask, err := TaskFor(&plainReq, problem.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inertTask.Validate(); err != nil {
+		t.Fatalf("inert-field record no longer validates: %v", err)
+	}
+	if inertTask.DesignHash() != plainTask.DesignHash() || inertTask.InstanceHash() != plainTask.InstanceHash() {
+		t.Fatal("parallel/workers changed the record's cache identity")
 	}
 }
 

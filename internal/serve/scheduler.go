@@ -787,6 +787,13 @@ func (s *Scheduler) run(job *Job, key string) {
 	pm.Running.Add(-1)
 	tm.Running.Add(-1)
 
+	if err == nil && key != "" {
+		// Settle the flight before the job turns terminal: waiters
+		// coalesced on this solve finalize on this goroutine, so by the
+		// time this job reports done its riders are done too, and a
+		// client that sees it done finds the result cached.
+		s.cache.Complete(key, res)
+	}
 	job.mu.Lock()
 	job.finished = s.cfg.Now()
 	job.expires = job.finished.Add(s.cfg.ResultTTL)
@@ -799,12 +806,6 @@ func (s *Scheduler) run(job *Job, key string) {
 		pm.Done.Add(1)
 		tm.Done.Add(1)
 		s.Metrics.ObserveSolve(elapsed.Nanoseconds(), res.Iterations)
-		if key != "" {
-			// Settle the flight before the terminal event: waiters
-			// coalesced on this solve finalize on this goroutine, so by
-			// the time this job reports done its riders are done too.
-			s.cache.Complete(key, res)
-		}
 		job.publish("done", nil, res.Objective, "")
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		job.state = StateCanceled

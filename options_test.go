@@ -11,7 +11,7 @@ import (
 
 // Every invalid design point is rejected at the facade through the one
 // Validate error path, with an error naming the offending field,
-// instead of failing deep inside core/clustered.
+// instead of failing deep inside the solver stack.
 func TestOptionsValidateRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -22,6 +22,7 @@ func TestOptionsValidateRejections(t *testing.T) {
 		{"pmax above range", cimsa.Options{PMax: 9}, "PMax"},
 		{"pmax negative", cimsa.Options{PMax: -3}, "PMax"},
 		{"negative workers", cimsa.Options{Workers: -2}, "Workers"},
+		{"huge workers", cimsa.Options{Workers: 1 << 45}, "Workers"},
 		{"negative restarts", cimsa.Options{Restarts: -2}, "Restarts"},
 		{"unknown mode", cimsa.Options{Mode: "quantum"}, "Mode"},
 	}
@@ -45,14 +46,27 @@ func TestOptionsValidateRejections(t *testing.T) {
 	}
 }
 
+// A cluster size the chip cannot realize is refused by Solve itself,
+// on either side of the supported range.
+func TestSolveRejectsOutOfRangePMax(t *testing.T) {
+	in := cimsa.GenerateInstance("pmax-range", 50, 1)
+	for _, p := range []int{1, 99} {
+		if _, err := cimsa.Solve(in, cimsa.Options{PMax: p}); err == nil {
+			t.Fatalf("PMax=%d accepted", p)
+		} else if !strings.Contains(err.Error(), "PMax") {
+			t.Fatalf("PMax=%d: error %q does not mention PMax", p, err)
+		}
+	}
+}
+
 func TestOptionsValidateAccepts(t *testing.T) {
 	for _, opt := range []cimsa.Options{
 		{},
 		{PMax: 2},
 		{PMax: 8, Workers: 4, Restarts: 3, Mode: "metropolis"},
-		{Mode: "noisy-spins", Parallel: true},
+		{Mode: "noisy-spins"},
 		{Workers: cimsa.WorkersAuto},
-		{Workers: cimsa.WorkersAuto, Parallel: true},
+		{Workers: cimsa.MaxWorkers},
 	} {
 		if err := opt.Validate(); err != nil {
 			t.Errorf("valid options %+v rejected: %v", opt, err)
