@@ -123,3 +123,41 @@ func TestFacadeExplicitMatrixEndToEnd(t *testing.T) {
 		t.Fatalf("explicit-instance quality poor: %v", rep.OptimalRatio)
 	}
 }
+
+// An instance of at most cluster.TopThreshold (10) cities is a
+// one-level hierarchy: the exact top-level solve is the whole tour and
+// no level is annealed. Every size from 3 up to the first annealed one
+// must solve to a valid, deterministic tour at every cluster size, with
+// and without the chip report (which stays zero below 11 cities: there
+// is no annealing run to price).
+func TestSolveSmallInstances(t *testing.T) {
+	for n := 3; n <= 11; n++ {
+		for _, pmax := range []int{2, 3, 8} {
+			for _, skipHW := range []bool{true, false} {
+				name := fmt.Sprintf("n%d-p%d-skiphw%v", n, pmax, skipHW)
+				in := cimsa.GenerateInstance(name, n, uint64(n))
+				opts := cimsa.Options{PMax: pmax, Seed: 5, SkipHardware: skipHW}
+				a, err := cimsa.Solve(in, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if err := a.Tour.Validate(n); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				b, err := cimsa.Solve(in, opts)
+				if err != nil {
+					t.Fatalf("%s: rerun: %v", name, err)
+				}
+				if a.Length != b.Length || fmt.Sprint(a.Tour) != fmt.Sprint(b.Tour) {
+					t.Fatalf("%s: not deterministic: %v (%g) vs %v (%g)", name, a.Tour, a.Length, b.Tour, b.Length)
+				}
+				if annealed := n > 10; (a.Solver.Levels > 0) != annealed {
+					t.Fatalf("%s: %d annealed levels", name, a.Solver.Levels)
+				}
+				if hw := !skipHW && n > 10; (a.Chip != cimsa.ChipReport{}) != hw {
+					t.Fatalf("%s: chip report %+v", name, a.Chip)
+				}
+			}
+		}
+	}
+}

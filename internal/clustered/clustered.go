@@ -219,6 +219,15 @@ func (s *Stats) Add(o Stats) {
 	}
 }
 
+// bottomWindows is the leaf-level cluster count: zero for a one-level
+// hierarchy, which provisions no windows.
+func bottomWindows(h *cluster.Hierarchy) int {
+	if h.NumLevels() < 2 {
+		return 0
+	}
+	return len(h.Levels[1])
+}
+
 // Result is a finished solve.
 type Result struct {
 	Tour   tour.Tour
@@ -249,9 +258,11 @@ func SolveContext(ctx context.Context, in *tsplib.Instance, opt Options) (Result
 		return Result{}, err
 	}
 	var stats Stats
-	stats.BottomWindows = len(h.Levels[1])
+	stats.BottomWindows = bottomWindows(h)
 
 	// Solve the top level directly: it has at most TopThreshold elements.
+	// An instance of at most TopThreshold cities is a one-level hierarchy:
+	// this exact solve is the whole tour, and no level is annealed.
 	top := h.Top()
 	order, err := solveTop(top, in.Metric)
 	if err != nil {

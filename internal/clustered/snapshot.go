@@ -84,7 +84,7 @@ func validateResume(s *Snapshot, h *cluster.Hierarchy, topOrder []int, totalIter
 		return fmt.Errorf("clustered: resume: Stats.Levels %d != completed level count %d",
 			s.Stats.Levels, s.Level)
 	}
-	if want := len(h.Levels[1]); s.Stats.BottomWindows != want {
+	if want := bottomWindows(h); s.Stats.BottomWindows != want {
 		return fmt.Errorf("clustered: resume: Stats.BottomWindows %d != hierarchy's %d",
 			s.Stats.BottomWindows, want)
 	}

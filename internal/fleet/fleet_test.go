@@ -895,3 +895,52 @@ func TestReclaimDropsStaleCancel(t *testing.T) {
 		t.Fatalf("completing the re-claim: %v", err)
 	}
 }
+
+// panicTask is a real task whose solve panics, standing in for a solver
+// bug a hostile payload might trip.
+type panicTask struct{ problem.Task }
+
+func (panicTask) Solve(context.Context, problem.Run) (*problem.Result, error) {
+	panic("scripted solver bug")
+}
+
+// A solver panic on a worker fails that one job, reported to the
+// coordinator as the job's error, and the worker lives on to claim and
+// solve the next job.
+func TestWorkerSurvivesSolverPanic(t *testing.T) {
+	coord := fleet.NewCoordinator(fleet.Config{Lease: time.Minute, Logf: t.Logf})
+	w, err := fleet.NewWorker(fleet.WorkerConfig{
+		Node:      "panicky",
+		Transport: coord,
+		BuildTask: func(source json.RawMessage) (problem.Task, error) {
+			task, err := buildTask(source)
+			if err == nil && task.Label() == "boom" {
+				task = panicTask{task}
+			}
+			return task, err
+		},
+		ScratchDir:     t.TempDir(),
+		HeartbeatEvery: 5 * time.Millisecond,
+		PollEvery:      2 * time.Millisecond,
+		Logf:           t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	startWorker(t, ctx, w)
+
+	boom := strings.Replace(tspSource, "fleet-test", "boom", 1)
+	_, err = coord.Offer(ctx, fleet.Job{ID: "p1", Problem: "tsp", Source: json.RawMessage(boom), CheckpointDir: t.TempDir()}, problem.Run{})
+	if err == nil || !strings.Contains(err.Error(), "scripted solver bug") {
+		t.Fatalf("panicking job settled with %v, want the panic as its error", err)
+	}
+	res, err := coord.Offer(ctx, fleet.Job{ID: "p2", Problem: "tsp", Source: json.RawMessage(tspSource), CheckpointDir: t.TempDir()}, problem.Run{})
+	if err != nil || res == nil {
+		t.Fatalf("job after the panic: %v", err)
+	}
+	if f, c := metricValue(t, w, "cimserve_worker_jobs_failed_total"), metricValue(t, w, "cimserve_worker_jobs_completed_total"); f != 1 || c != 1 {
+		t.Fatalf("worker failed=%d completed=%d, want 1 and 1", f, c)
+	}
+}

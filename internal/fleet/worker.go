@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cimsa/internal/checkpoint"
 	"cimsa/internal/problem"
 )
 
@@ -215,13 +214,13 @@ func (w *Worker) cancelAll() {
 
 // solve runs one granted job: seed the scratch dir with the shipped
 // checkpoint (if any), rebuild the task from the source body, solve with
-// checkpoint shipping, and post the completion. A grant whose shipped
-// checkpoint no longer verifies (version skew, fabric change) is solved
-// fresh — wasted work, never a wrong answer.
+// checkpoint shipping, and post the completion — an error included, so
+// a failed or panicking solve settles the job instead of stranding its
+// lease.
 func (w *Worker) solve(ctx context.Context, g *Grant) {
 	scratch := filepath.Join(w.cfg.ScratchDir, g.JobID)
 	defer os.RemoveAll(scratch)
-	res, errMsg := w.solveIn(ctx, g, scratch, true)
+	res, errMsg := w.solveIn(ctx, g, scratch)
 	if w.killed.Load() {
 		return // kill -9 semantics: the result dies with the node
 	}
@@ -236,9 +235,12 @@ func (w *Worker) solve(ctx context.Context, g *Grant) {
 	}
 }
 
-// solveIn performs the solve attempt; allowRetry permits one fresh
-// restart after a checkpoint the coordinator shipped fails to verify.
-func (w *Worker) solveIn(ctx context.Context, g *Grant, scratch string, allowRetry bool) (*problem.Result, string) {
+// solveIn performs the solve under problem.SolveGuarded: a shipped
+// checkpoint that no longer verifies (version skew, fabric change) is
+// discarded and the job solves fresh — the same deterministic stream
+// from the seed, so the answer is still exact and only the partial
+// progress is lost — and a solver panic comes back as an error.
+func (w *Worker) solveIn(ctx context.Context, g *Grant, scratch string) (*problem.Result, string) {
 	if err := os.MkdirAll(scratch, 0o755); err != nil {
 		return nil, fmt.Sprintf("worker scratch: %v", err)
 	}
@@ -284,19 +286,11 @@ func (w *Worker) solveIn(ctx context.Context, g *Grant, scratch string, allowRet
 		},
 		OnCheckpointResume: func(string) { w.resumed.Add(1) },
 	}
-	res, err := task.Solve(ctx, run)
+	logf := func(format string, args ...any) {
+		w.cfg.Logf("fleet worker %s: job %s: %s", w.cfg.Node, g.JobID, fmt.Sprintf(format, args...))
+	}
+	res, err := problem.SolveGuarded(ctx, run, task.Solve, logf, nil)
 	if err != nil {
-		if allowRetry && (errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
-			// The shipped snapshot doesn't match this job (version skew or a
-			// config change since it was written). Solving fresh re-derives
-			// the same deterministic stream from the seed, so the answer is
-			// still exact — only the partial progress is lost.
-			w.cfg.Logf("fleet worker %s: checkpoint for %s rejected (%v); solving fresh", w.cfg.Node, g.JobID, err)
-			os.RemoveAll(scratch)
-			g2 := *g
-			g2.CheckpointName, g2.Checkpoint = "", nil
-			return w.solveIn(ctx, &g2, scratch, false)
-		}
 		return nil, err.Error()
 	}
 	return res, ""

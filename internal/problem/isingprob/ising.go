@@ -17,6 +17,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"sort"
 
 	"cimsa/internal/anneal"
 	"cimsa/internal/ising"
@@ -146,6 +148,16 @@ func checkSize(n int, lim problem.Limits) error {
 	return nil
 }
 
+// checkFinite rejects coefficients whose magnitudes sum past float64
+// range. Every energy and objective is bounded by that sum, so a finite
+// one keeps every result finite — and encodable as JSON.
+func checkFinite(what string, total float64) error {
+	if math.IsInf(total, 0) || math.IsNaN(total) {
+		return fmt.Errorf("%s coefficient magnitudes must have a finite sum", what)
+	}
+	return nil
+}
+
 func checkAlgorithm(algo string) (string, error) {
 	switch algo {
 	case "", AlgoMetropolis:
@@ -199,6 +211,7 @@ func TaskFromSpec(spec *Spec, lim problem.Limits) (*Task, error) {
 		}
 		// Every index is vetted against the declared size before the
 		// dense matrix exists.
+		var total float64
 		for k, c := range spec.J {
 			if c.I < 0 || c.I >= spec.N || c.J < 0 || c.J >= spec.N {
 				return nil, fmt.Errorf("j[%d]: coupling (%d,%d) out of range 0..%d", k, c.I, c.J, spec.N-1)
@@ -206,11 +219,16 @@ func TaskFromSpec(spec *Spec, lim problem.Limits) (*Task, error) {
 			if c.I == c.J {
 				return nil, fmt.Errorf("j[%d]: self-coupling at %d (use qubo for linear terms, or h)", k, c.I)
 			}
+			total += math.Abs(c.V)
 		}
 		for k, f := range spec.H {
 			if f.I < 0 || f.I >= spec.N {
 				return nil, fmt.Errorf("h[%d]: field index %d out of range 0..%d", k, f.I, spec.N-1)
 			}
+			total += math.Abs(f.V)
+		}
+		if err := checkFinite("j and h", total); err != nil {
+			return nil, err
 		}
 		m = ising.NewModel(spec.N)
 		for _, c := range spec.J {
@@ -270,10 +288,15 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 			return nil, err
 		}
 		n = spec.N
+		var total float64
 		for k, c := range spec.Q {
 			if c.I < 0 || c.I >= n || c.J < 0 || c.J >= n {
 				return nil, fmt.Errorf("q[%d]: entry (%d,%d) out of range 0..%d", k, c.I, c.J, n-1)
 			}
+			total += math.Abs(c.V)
+		}
+		if err := checkFinite("q", total); err != nil {
+			return nil, err
 		}
 		entries = spec.Q
 	}
@@ -292,16 +315,27 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 		}
 		offdiag[[2]int{i, j}] += c.V
 	}
-	m := ising.NewModel(n)
+	// Fold in row-major order, not map order: float sums depend on
+	// their order, and the fields, the instance hash and the objective
+	// must be bit-identical on every run.
+	off := make([]quboTerm, 0, len(offdiag))
 	for ij, v := range offdiag {
-		m.SetJ(ij[0], ij[1], -v/4)
+		off = append(off, quboTerm{ij[0], ij[1], v})
 	}
+	sort.Slice(off, func(a, b int) bool {
+		if off[a].i != off[b].i {
+			return off[a].i < off[b].i
+		}
+		return off[a].j < off[b].j
+	})
+	m := ising.NewModel(n)
 	for i := range m.H {
 		m.H[i] = -diag[i] / 2
 	}
-	for ij, v := range offdiag {
-		m.H[ij[0]] -= v / 4
-		m.H[ij[1]] -= v / 4
+	for _, q := range off {
+		m.SetJ(q.i, q.j, -q.v/4)
+		m.H[q.i] -= q.v / 4
+		m.H[q.j] -= q.v / 4
 	}
 	if label == "" {
 		label = fmt.Sprintf("qubo%d", n)
@@ -314,7 +348,7 @@ func QUBOTaskFromSpec(spec *QUBOSpec, lim problem.Limits) (*Task, error) {
 		sweeps:    defaultSweeps(spec.Sweeps, algo),
 		seed:      spec.Seed,
 		quboDiag:  diag,
-		quboOff:   offdiag,
+		quboOff:   off,
 	}, nil
 }
 
@@ -363,7 +397,13 @@ type Task struct {
 	// quboDiag/quboOff hold the normalized Q for objective evaluation;
 	// nil for plain ising tasks.
 	quboDiag []float64
-	quboOff  map[[2]int]float64
+	quboOff  []quboTerm
+}
+
+// quboTerm is one folded off-diagonal Q entry, i < j.
+type quboTerm struct {
+	i, j int
+	v    float64
 }
 
 // Problem implements problem.Task.
@@ -518,8 +558,8 @@ func (t *Task) quboValue(bits []int8) float64 {
 	for i, d := range t.quboDiag {
 		v += d * float64(bits[i])
 	}
-	for ij, q := range t.quboOff {
-		v += q * float64(bits[ij[0]]) * float64(bits[ij[1]])
+	for _, q := range t.quboOff {
+		v += q.v * float64(bits[q.i]) * float64(bits[q.j])
 	}
 	return v
 }

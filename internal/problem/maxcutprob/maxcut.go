@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"cimsa/internal/maxcut"
 	"cimsa/internal/problem"
@@ -112,12 +113,19 @@ func TaskFromSpec(spec *Spec, lim problem.Limits) (*Task, error) {
 			return nil, fmt.Errorf("graph has %d edges; this server accepts at most %d", len(spec.Edges), lim.MaxEdges)
 		}
 		g = &maxcut.Graph{N: spec.N, Edges: make([]maxcut.Edge, len(spec.Edges))}
+		var total float64
 		for i, e := range spec.Edges {
 			w := 1.0
 			if e.W != nil {
 				w = *e.W
 			}
 			g.Edges[i] = maxcut.Edge{U: e.U, V: e.V, W: w}
+			total += math.Abs(w)
+		}
+		// Every cut is bounded by the total weight, so a finite total
+		// keeps every result finite — and encodable as JSON.
+		if math.IsInf(total, 0) || math.IsNaN(total) {
+			return nil, fmt.Errorf("edge weights must have a finite sum")
 		}
 	}
 	if err := g.Validate(); err != nil {

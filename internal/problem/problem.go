@@ -16,12 +16,16 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash"
 	"math"
+	"os"
+	"runtime/debug"
 	"sort"
 	"sync"
 
+	"cimsa/internal/checkpoint"
 	"cimsa/internal/clustered"
 )
 
@@ -209,4 +213,47 @@ func (h *Hasher) String(s string) {
 // Sum returns "<problem>:<hex digest>".
 func (h *Hasher) Sum() string {
 	return h.problem + ":" + hex.EncodeToString(h.h.Sum(nil))
+}
+
+// SolveGuarded runs one job's solve under the failure policy the
+// scheduler and fleet workers share:
+//   - If the solve rejects the checkpoint in run.CheckpointDir
+//     (checkpoint.ErrInvalid or ErrMismatch: a corrupt file, or a
+//     snapshot of another design point), the directory is discarded and
+//     the job solves fresh, once. It is never annealed from bad state
+//     and never failed for it; onReject (if set) counts the rejection.
+//   - A panic on the solve goroutine becomes an error, with the stack
+//     sent to logf, so a solver bug fails one job instead of the
+//     process. Panics on the solver's own pool goroutines are beyond
+//     its reach.
+//
+// A solve that returns neither a result nor an error is an error too.
+func SolveGuarded(ctx context.Context, run Run, solve func(context.Context, Run) (*Result, error), logf func(format string, args ...any), onReject func()) (*Result, error) {
+	res, err := solveRecovered(ctx, run, solve, logf)
+	if err == nil || run.CheckpointDir == "" ||
+		!(errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
+		return res, err
+	}
+	if onReject != nil {
+		onReject()
+	}
+	logf("checkpoint rejected, solving fresh: %v", err)
+	if rerr := os.RemoveAll(run.CheckpointDir); rerr != nil {
+		logf("discarding checkpoint: %v", rerr)
+	}
+	return solveRecovered(ctx, run, solve, logf)
+}
+
+func solveRecovered(ctx context.Context, run Run, solve func(context.Context, Run) (*Result, error), logf func(string, ...any)) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			logf("solver panic: %v\n%s", p, debug.Stack())
+			res, err = nil, fmt.Errorf("solver panic: %v", p)
+		}
+	}()
+	res, err = solve(ctx, run)
+	if err == nil && res == nil {
+		err = errors.New("solver returned no result")
+	}
+	return res, err
 }

@@ -23,7 +23,7 @@ func TestCacheFabricIsolation(t *testing.T) {
 
 	submit := func(fabric string) *Job {
 		t.Helper()
-		j, err := s.Submit(tspprob.New(in, opts(fabric)))
+		j, err := s.Submit("", tspprob.New(in, opts(fabric)), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

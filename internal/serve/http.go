@@ -157,47 +157,73 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeBody strictly decodes a size-capped JSON request body into v
+// (unknown fields are errors), answering 413 for an oversized body and
+// 400 for a malformed one; it reports whether v was decoded.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	maxBody := s.MaxBodyBytes
 	if maxBody <= 0 {
 		maxBody = 32 << 20
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
+		} else {
+			writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		return false
+	}
+	return true
+}
+
+// tenantHeader returns the X-Tenant header, which selects the
+// fair-scheduling lane and quota bucket (absent means the default
+// tenant). A syntactically invalid name is answered with a 400 rather
+// than silently folded, so a misconfigured client learns immediately;
+// ok is false then.
+func tenantHeader(w http.ResponseWriter, r *http.Request) (tenant string, ok bool) {
+	tenant = r.Header.Get("X-Tenant")
+	if tenant != "" && !fairsched.ValidName(tenant) {
+		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+		return "", false
+	}
+	return tenant, true
+}
+
+// prepare builds a request's validated task and its journal source:
+// the parsed request re-marshalled, so it round-trips through the same
+// decoder at recovery and a recovered job is built from exactly what
+// this submission parsed. Its errors are the client's (400).
+func (s *Server) prepare(req *SubmitRequest) (BatchItem, error) {
+	task, err := s.buildTask(req)
+	if err != nil {
+		return BatchItem{}, err
+	}
+	source, err := json.Marshal(req)
+	if err != nil {
+		return BatchItem{}, fmt.Errorf("request not journalable: %w", err)
+	}
+	return BatchItem{Task: task, Source: source}, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	task, err := s.buildTask(&req)
+	item, err := s.prepare(&req)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// The X-Tenant header selects the fair-scheduling lane and quota
-	// bucket; absent means the default tenant. A syntactically invalid
-	// name is rejected outright rather than silently folded, so a
-	// misconfigured client learns immediately.
-	tenant := r.Header.Get("X-Tenant")
-	if tenant != "" && !fairsched.ValidName(tenant) {
-		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+	tenant, ok := tenantHeader(w, r)
+	if !ok {
 		return
 	}
-	// Re-marshal the parsed request as the journal source: it round-trips
-	// through the same decoder at recovery, and normalizing it here means
-	// a recovered job is built from exactly what this submission parsed.
-	source, err := json.Marshal(&req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "request not journalable: "+err.Error())
-		return
-	}
-	job, err := s.sched.SubmitTenantSource(tenant, task, source)
+	job, err := s.sched.Submit(tenant, item.Task, item.Source)
 	var rle *fairsched.RateLimitError
 	switch {
 	case err == nil:
@@ -208,7 +234,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, ErrQueueFull) || errors.Is(err, ErrTenantQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusTooManyRequests, err.Error())
-	case errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, ErrShuttingDown) || errors.Is(err, ErrJournal):
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		writeError(w, http.StatusBadRequest, err.Error())
@@ -234,23 +260,10 @@ type BatchEntry struct {
 // status or error in order; the HTTP status is 200 whenever the batch
 // itself was well-formed, even if every item was rejected.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	maxBody := s.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = 32 << 20
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
 	var body struct {
 		Jobs []SubmitRequest `json:"jobs"`
 	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &body) {
 		return
 	}
 	if len(body.Jobs) == 0 {
@@ -261,35 +274,25 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d jobs", maxBatchJobs))
 		return
 	}
-	tenant := r.Header.Get("X-Tenant")
-	if tenant != "" && !fairsched.ValidName(tenant) {
-		writeError(w, http.StatusBadRequest, "invalid X-Tenant header: need 1..64 bytes of [A-Za-z0-9._-]")
+	tenant, ok := tenantHeader(w, r)
+	if !ok {
 		return
 	}
 	entries := make([]BatchEntry, len(body.Jobs))
 	items := make([]BatchItem, len(body.Jobs))
 	for i := range body.Jobs {
-		task, err := s.buildTask(&body.Jobs[i])
-		if err != nil {
+		var err error
+		if items[i], err = s.prepare(&body.Jobs[i]); err != nil {
 			entries[i].Error = err.Error()
-			continue
 		}
-		source, err := json.Marshal(&body.Jobs[i])
-		if err != nil {
-			entries[i].Error = "request not journalable: " + err.Error()
-			continue
-		}
-		items[i] = BatchItem{Task: task, Source: source}
 	}
-	results := s.sched.SubmitBatch(tenant, items)
-	for i, res := range results {
-		if entries[i].Error != "" {
-			continue // rejected before reaching the scheduler
-		}
+	for i, res := range s.sched.SubmitBatch(tenant, items) {
 		switch {
+		case entries[i].Error != "":
+			// rejected before reaching the scheduler
 		case res.Err != nil:
 			entries[i].Error = res.Err.Error()
-		case res.Job != nil:
+		default:
 			st := res.Job.Status()
 			entries[i].Status = &st
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -260,6 +261,11 @@ func TestServiceErrorMapping(t *testing.T) {
 		`{"generate":{"n":100},"options":{"mode":"x"}}`,              // unknown mode
 		`{"generate":{"n":100},"options":{"workers":-2}}`,            // negative workers (-1 is auto)
 		`{"generate":{"n":100},"options":{"workers":1000000000000}}`, // pool too large to allocate
+
+		// Coefficients whose magnitudes overflow float64 in sum: a NaN
+		// objective and an +Inf cut.
+		`{"qubo":{"n":2,"q":[{"i":0,"j":0,"v":1e308},{"i":0,"j":0,"v":1e308}]}}`,
+		`{"maxcut":{"n":3,"edges":[{"u":0,"v":1,"w":1e308},{"u":1,"v":2,"w":1e308}]}}`,
 	}
 	for _, body := range badBodies {
 		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
@@ -338,6 +344,48 @@ func TestServiceErrorMapping(t *testing.T) {
 	res.Body.Close()
 	if res.StatusCode != http.StatusConflict {
 		t.Fatalf("early result fetch returned %d, want 409", res.StatusCode)
+	}
+
+	// A journal that cannot record the submission is the server's
+	// fault: 503, not 400.
+	j, _, err := OpenJournal(filepath.Join(t.TempDir(), "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	_, jbase := newTestServer(t, Config{Journal: j, Solve: st.solve})
+	failed := postJSON(t, jbase+"/v1/jobs", SubmitRequest{Generate: &GenerateSpec{Name: "undurable", N: 10, Seed: 1}})
+	failed.Body.Close()
+	if failed.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit with a failing journal returned %d, want 503", failed.StatusCode)
+	}
+}
+
+// A TSP instance of at most 10 cities is a one-level hierarchy (the
+// exact top-level solve is the whole tour). Served through the real
+// solver, with and without the chip report, it must complete — not
+// take the process down.
+func TestSmallTSPJobCompletes(t *testing.T) {
+	_, base := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"tsp":{"generate":{"name":"a","n":5,"seed":1}}}`,
+		`{"tsp":{"generate":{"name":"b","n":3,"seed":2},"options":{"skip_hardware":true}}}`,
+		`{"generate":{"name":"c","n":10,"seed":3},"options":{"pmax":2}}`,
+	} {
+		resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: submit returned %d", body, resp.StatusCode)
+		}
+		st := pollState(t, base, decodeJSON[Status](t, resp).ID, StateDone, time.Minute)
+		rr := decodeJSON[struct {
+			Report cimsa.Report `json:"report"`
+		}](t, mustGet(t, base+"/v1/jobs/"+st.ID+"/result"))
+		if err := rr.Report.Tour.Validate(st.N); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
 	}
 }
 

@@ -4,6 +4,13 @@
 // analogue of many users time-sharing one annealer chip), progress
 // streams out as server-sent events at the solver's write-back-epoch
 // granularity, and finished results are retained for a TTL.
+//
+// Each step of a job's life exists once in the Scheduler: admit is the
+// one admission path (Submit, SubmitBatch and Resubmit all call it:
+// quotas, IDs, one journal fsync per call, gauges before the queue),
+// settle is the only code that makes a job terminal, and Metrics.move
+// shifts a job between states in the aggregate, per-problem and
+// per-tenant counter sets at once.
 package serve
 
 import (

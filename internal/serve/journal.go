@@ -206,15 +206,18 @@ func appendRecord(f *os.File, rec journalRecord) error {
 	return nil
 }
 
-// append writes one record and fsyncs it.
-func (j *Journal) append(rec journalRecord) error {
+// append writes the records and fsyncs once: they become durable
+// together, or the call fails.
+func (j *Journal) append(recs ...journalRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("journal: closed")
 	}
-	if err := appendRecord(j.f, rec); err != nil {
-		return err
+	for _, rec := range recs {
+		if err := appendRecord(j.f, rec); err != nil {
+			return err
+		}
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("journal: sync: %w", err)
@@ -223,9 +226,9 @@ func (j *Journal) append(rec journalRecord) error {
 }
 
 // Submitted records an accepted job with its canonical tenant, problem
-// type and original request body.
+// type and original request body: a SubmittedBatch of one record.
 func (j *Journal) Submitted(id, tenant string, submitted time.Time, problem string, request json.RawMessage) error {
-	return j.append(journalRecord{Op: "submit", ID: id, Problem: problem, Tenant: tenant, Submitted: submitted, Request: request})
+	return j.SubmittedBatch([]SubmitRecord{{ID: id, Tenant: tenant, Problem: problem, Submitted: submitted, Request: request}})
 }
 
 // Finished retires a job that reached a terminal state (done, failed
@@ -264,21 +267,11 @@ func (j *Journal) SubmittedBatch(recs []SubmitRecord) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("journal: closed")
+	out := make([]journalRecord, len(recs))
+	for i, r := range recs {
+		out[i] = journalRecord{Op: "submit", ID: r.ID, Problem: r.Problem, Tenant: r.Tenant, Submitted: r.Submitted, Request: r.Request}
 	}
-	for _, r := range recs {
-		rec := journalRecord{Op: "submit", ID: r.ID, Problem: r.Problem, Tenant: r.Tenant, Submitted: r.Submitted, Request: r.Request}
-		if err := appendRecord(j.f, rec); err != nil {
-			return err
-		}
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("journal: sync: %w", err)
-	}
-	return nil
+	return j.append(out...)
 }
 
 // Close releases the journal file.

@@ -127,7 +127,7 @@ func TestSchedulerRetiresJournaledJobs(t *testing.T) {
 	})
 	defer s.Shutdown(context.Background())
 	in := cimsa.GenerateInstance("retire", 50, 1)
-	job, err := s.SubmitSource(tspprob.New(in, cimsa.Options{SkipHardware: true}), jobRequest(t, 50))
+	job, err := s.Submit("", tspprob.New(in, cimsa.Options{SkipHardware: true}), jobRequest(t, 50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +136,48 @@ func TestSchedulerRetiresJournaledJobs(t *testing.T) {
 	_, entries := openTestJournal(t, path)
 	if len(entries) != 0 {
 		t.Fatalf("finished job still live in journal: %+v", entries)
+	}
+}
+
+// A solver panic fails that one job instead of the process: the job
+// settles as failed, its journal record is retired (so no later boot
+// replays the crash), and the slot goes on to run the next job.
+func TestSolvePanicFailsJobAndRetiresIt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	j, _ := openTestJournal(t, path)
+	s := NewScheduler(Config{
+		MaxConcurrent: 1,
+		Journal:       j,
+		Logf:          t.Logf,
+		Solve: func(ctx context.Context, task problem.Task, run problem.Run) (*problem.Result, error) {
+			if task.Label() == "boom" {
+				panic("scripted solver bug")
+			}
+			return &problem.Result{Problem: task.Problem(), Instance: task.Label(), N: task.Size()}, nil
+		},
+	})
+	defer s.Shutdown(context.Background())
+	submit := func(label string) *Job {
+		t.Helper()
+		job, err := s.Submit("", tspprob.New(cimsa.GenerateInstance(label, 50, 1), cimsa.Options{}), jobRequest(t, 50))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	boom, next := submit("boom"), submit("next")
+	if st := waitTerminal(t, boom); st.State != StateFailed || !strings.Contains(st.Error, "scripted solver bug") {
+		t.Fatalf("panicking solve ended %s (%q), want failed with the panic value", st.State, st.Error)
+	}
+	if st := waitTerminal(t, next); st.State != StateDone {
+		t.Fatalf("job after the panic ended %s (%q), want done", st.State, st.Error)
+	}
+	if got := s.Metrics.Failed.Load(); got != 1 {
+		t.Fatalf("failed counter %d, want 1", got)
+	}
+	j.Close()
+	if _, entries := openTestJournal(t, path); len(entries) != 0 {
+		t.Fatalf("journal still holds live entries after the panic: %+v", entries)
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"os"
 
 	"cimsa/internal/problem"
 )
@@ -42,14 +41,7 @@ func (s *Server) Recover(entries []JournalEntry) int {
 		if err != nil {
 			s.sched.cfg.Logf("recovery: dropping job %s: %v", e.ID, err)
 			s.recoveryFailures.Add(1)
-			if j := s.sched.cfg.Journal; j != nil {
-				if ferr := j.Finished(e.ID); ferr != nil {
-					s.sched.cfg.Logf("recovery: retiring job %s: %v", e.ID, ferr)
-				}
-			}
-			if s.sched.cfg.CheckpointDir != "" {
-				_ = os.RemoveAll(s.sched.jobCheckpointDir(e.ID))
-			}
+			s.sched.forget(e.ID, true)
 			continue
 		}
 		s.sched.Metrics.Recovered.Add(1)

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cimsa/internal/checkpoint"
 	"cimsa/internal/fairsched"
 	"cimsa/internal/fleet"
 	"cimsa/internal/problem"
@@ -57,10 +56,10 @@ type Config struct {
 	ReplayBuffer int
 
 	// Journal, when non-nil, durably records submissions that carry a
-	// request body (SubmitSource) and retires them on completion, so a
-	// crashed server's queued and running jobs are re-enqueued on boot
-	// (Server.Recover). Appends are fsynced before the submission is
-	// acknowledged.
+	// request body (a non-nil Submit source) and retires them on
+	// completion, so a crashed server's queued and running jobs are
+	// re-enqueued on boot (Server.Recover). Appends are fsynced before
+	// the submission is acknowledged.
 	Journal *Journal
 	// CheckpointDir, when set, gives every job a solver checkpoint
 	// directory (CheckpointDir/<jobID>) so a recovered job resumes
@@ -147,7 +146,18 @@ var (
 	ErrRateLimited = fairsched.ErrRateLimited
 	// ErrShuttingDown means the scheduler no longer accepts jobs (503).
 	ErrShuttingDown = errors.New("serve: shutting down")
+	// ErrJournal matches a submission refused because the journal could
+	// not record it — a server fault (503), never the client's.
+	ErrJournal = errors.New("serve: journal append failed")
 )
+
+// journalError wraps a journal append failure so it matches ErrJournal
+// while keeping the journal's own message.
+type journalError struct{ err error }
+
+func (e journalError) Error() string        { return e.err.Error() }
+func (e journalError) Unwrap() error        { return e.err }
+func (e journalError) Is(target error) bool { return target == ErrJournal }
 
 // Scheduler multiplexes solve jobs onto a bounded pool of solver slots
 // with a tenant-aware weighted-fair wait queue (internal/fairsched), an
@@ -206,42 +216,31 @@ func (s *Scheduler) newID() string {
 	return fmt.Sprintf("j%04d-%s", s.idSeq.Add(1), hex.EncodeToString(b[:]))
 }
 
-// Submit validates and enqueues a job under the default tenant. The
-// task is owned by the scheduler afterwards and must not be mutated.
-func (s *Scheduler) Submit(task problem.Task) (*Job, error) {
-	return s.SubmitTenantSource("", task, nil)
-}
-
-// SubmitSource is Submit carrying the original request body: with a
-// journal configured, the source is persisted (fsynced) before the
-// submission is acknowledged, and a later boot can rebuild and
-// re-enqueue the job from it. A nil source skips journaling — the job
-// cannot be recovered.
-func (s *Scheduler) SubmitSource(task problem.Task, source json.RawMessage) (*Job, error) {
-	return s.SubmitTenantSource("", task, source)
-}
-
-// SubmitTenant is Submit under a tenant identity ("" means the default
-// tenant); the tenant's admission quotas apply and the job is scheduled
-// on its weighted lane.
-func (s *Scheduler) SubmitTenant(tenant string, task problem.Task) (*Job, error) {
-	return s.SubmitTenantSource(tenant, task, nil)
-}
-
-// SubmitTenantSource is SubmitSource under a tenant identity.
-func (s *Scheduler) SubmitTenantSource(tenant string, task problem.Task, source json.RawMessage) (*Job, error) {
-	if err := task.Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(s.newID(), tenant, time.Time{}, task, source, false, true)
+// Submit validates and enqueues one job under a tenant ("" means the
+// default tenant): a SubmitBatch of one item. The tenant's admission
+// quotas apply and the job is scheduled on its weighted lane. With a
+// journal configured, a non-nil source (the original request body) is
+// persisted and fsynced before the submission is acknowledged, so a
+// later boot can rebuild and re-enqueue the job from it; a nil source
+// skips journaling — the job can be neither recovered nor dispatched
+// to a fleet. The task is owned by the scheduler afterwards and must
+// not be mutated.
+func (s *Scheduler) Submit(tenant string, task problem.Task, source json.RawMessage) (*Job, error) {
+	r := s.admit(tenant, []BatchItem{{Task: task, Source: source}})[0]
+	return r.Job, r.Err
 }
 
 // BatchItem is one submission of a SubmitBatch call: a task plus its
 // journalable source body (nil source: the job is accepted but cannot
-// be recovered or fleet-dispatched, exactly like SubmitTenantSource).
+// be recovered or fleet-dispatched, exactly like Submit).
 type BatchItem struct {
 	Task   problem.Task
 	Source json.RawMessage
+
+	// id and submitted are set only by Resubmit: a recovered job keeps
+	// the identity its journal record carries.
+	id        string
+	submitted time.Time
 }
 
 // BatchResult pairs a batch item with its outcome: exactly one of Job
@@ -260,109 +259,7 @@ type BatchResult struct {
 // reject only that item. If the collective journal append fails, every
 // item journaled by it is rejected — none was acknowledged durable.
 func (s *Scheduler) SubmitBatch(tenant string, items []BatchItem) []BatchResult {
-	out := make([]BatchResult, len(items))
-	valid := make([]bool, len(items))
-	for i, it := range items {
-		if it.Task == nil {
-			out[i].Err = errors.New("serve: batch item has no task")
-			continue
-		}
-		if err := it.Task.Validate(); err != nil {
-			out[i].Err = err
-			continue
-		}
-		valid[i] = true
-	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		for i := range out {
-			if valid[i] {
-				out[i].Err = ErrShuttingDown
-			}
-		}
-		return out
-	}
-	lane := s.fq.Canonical(tenant)
-	tm := s.Metrics.Tenant(lane)
-	now := s.cfg.Now()
-
-	// Phase 1: admit each item under the tenant's quotas and stage its
-	// journal record. Nothing is visible to workers yet.
-	var jobs []*Job // admitted jobs, in batch order
-	var idx []int   // jobs[k] answers items[idx[k]]
-	var recs []SubmitRecord
-	for i, it := range items {
-		if !valid[i] {
-			continue
-		}
-		if err := s.fq.Admit(lane); err != nil {
-			if errors.Is(err, fairsched.ErrClosed) {
-				err = ErrShuttingDown
-			} else {
-				s.Metrics.Rejected.Add(1)
-				tm.Rejected.Add(1)
-				if errors.Is(err, ErrRateLimited) {
-					s.Metrics.RateLimited.Add(1)
-				}
-				if errors.Is(err, fairsched.ErrQueueFull) {
-					err = ErrQueueFull
-				}
-			}
-			out[i].Err = err
-			continue
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		job := &Job{
-			ID:          s.newID(),
-			Tenant:      lane,
-			task:        it.Task,
-			ctx:         ctx,
-			cancel:      cancel,
-			done:        make(chan struct{}),
-			state:       StateQueued,
-			replayLimit: s.cfg.ReplayBuffer,
-			source:      it.Source,
-		}
-		job.submitted = now
-		if s.cfg.Journal != nil && it.Source != nil {
-			job.journaled = true
-			recs = append(recs, SubmitRecord{ID: job.ID, Tenant: lane, Problem: it.Task.Problem(), Submitted: now, Request: it.Source})
-		}
-		jobs = append(jobs, job)
-		idx = append(idx, i)
-	}
-
-	// Phase 2: one fsync covers the whole batch. Durability before
-	// acknowledgement, batch-wide: a failed sync rejects every admitted
-	// item, because none of them is durably recorded.
-	if s.cfg.Journal != nil && len(recs) > 0 {
-		if err := s.cfg.Journal.SubmittedBatch(recs); err != nil {
-			for k, job := range jobs {
-				job.cancel()
-				s.fq.Unadmit(lane) // the admitted slot will never be pushed
-				out[idx[k]].Err = err
-			}
-			return out
-		}
-	}
-
-	// Phase 3: gauges before Push, exactly like enqueue — workers don't
-	// take s.mu, so the gauge must rise before a worker can pop the job.
-	for k, job := range jobs {
-		pm := s.Metrics.Problem(job.task.Problem())
-		s.Metrics.Submitted.Add(1)
-		s.Metrics.Queued.Add(1)
-		pm.Submitted.Add(1)
-		pm.Queued.Add(1)
-		tm.Submitted.Add(1)
-		tm.Queued.Add(1)
-		s.fq.Push(lane, job)
-		s.jobs[job.ID] = job
-		out[idx[k]].Job = job
-	}
-	return out
+	return s.admit(tenant, items)
 }
 
 // Resubmit re-enqueues a recovered job under its original ID, tenant
@@ -374,98 +271,120 @@ func (s *Scheduler) SubmitBatch(tenant string, items []BatchItem) []BatchResult 
 // body, kept on the job so a coordinator can re-dispatch the recovered
 // job to the fleet.
 func (s *Scheduler) Resubmit(id, tenant string, submitted time.Time, task problem.Task, source json.RawMessage) (*Job, error) {
-	if err := task.Validate(); err != nil {
-		return nil, err
+	if id == "" {
+		return nil, errors.New("serve: recovered job has no ID")
 	}
-	return s.enqueue(id, tenant, submitted, task, source, s.cfg.Journal != nil, false)
+	r := s.admit(tenant, []BatchItem{{Task: task, Source: source, id: id, submitted: submitted}})[0]
+	return r.Job, r.Err
 }
 
-// enqueue admits a job under s.mu. A zero submitted time means "now";
-// a non-nil source is journaled inside the critical section, so the
-// journal order matches the queue order; journaled marks a recovered
-// job whose record is already in the journal (its source is kept but
-// not re-journaled); admit applies the tenant's quotas (false for
-// recovered jobs).
-func (s *Scheduler) enqueue(id, tenant string, submitted time.Time, task problem.Task, source json.RawMessage, journaled, admit bool) (*Job, error) {
-	ctx, cancel := context.WithCancel(context.Background())
-	job := &Job{
-		ID:          id,
-		task:        task,
-		ctx:         ctx,
-		cancel:      cancel,
-		done:        make(chan struct{}),
-		state:       StateQueued,
-		replayLimit: s.cfg.ReplayBuffer,
-		journaled:   journaled,
-		source:      source,
+// admit is the one admission path. Items are validated outside the
+// lock; then, in one critical section under s.mu, each new item passes
+// the tenant's quotas (fq.Admit), gets its ID and stages its journal
+// record. One SubmittedBatch call makes the staged records durable with
+// one fsync, and only then do the gauges rise and the jobs reach the
+// fair queue — workers don't take s.mu, so a gauge raised after Push
+// could be lowered by an eager worker first and go negative. A
+// recovered item (one carrying its journaled ID) skips the quotas and
+// the journal and is refused if its ID is already live. Only admit
+// pushes new jobs, and only under s.mu, so Admit's verdict decides the
+// Push without racing other submitters, and the journal order matches
+// the queue order.
+func (s *Scheduler) admit(tenant string, items []BatchItem) []BatchResult {
+	out := make([]BatchResult, len(items))
+	for i, it := range items {
+		if it.Task == nil {
+			out[i].Err = errors.New("serve: batch item has no task")
+		} else {
+			out[i].Err = it.Task.Validate()
+		}
 	}
+
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		return nil, ErrShuttingDown
-	}
-	if _, dup := s.jobs[job.ID]; dup {
-		s.mu.Unlock()
-		cancel()
-		return nil, fmt.Errorf("serve: job %s already exists", job.ID)
-	}
-	job.Tenant = s.fq.Canonical(tenant)
-	job.submitted = submitted
-	if job.submitted.IsZero() {
-		job.submitted = s.cfg.Now()
-	}
-	tm := s.Metrics.Tenant(job.Tenant)
-	if admit {
-		// Only enqueue pushes onto the fair queue and only while holding
-		// s.mu, so Admit's verdict decides the Push without racing other
-		// submitters.
-		if err := s.fq.Admit(job.Tenant); err != nil {
-			s.mu.Unlock()
-			cancel()
-			if errors.Is(err, fairsched.ErrClosed) {
-				return nil, ErrShuttingDown
+		for i := range out {
+			if out[i].Err == nil {
+				out[i].Err = ErrShuttingDown
 			}
-			s.Metrics.Rejected.Add(1)
-			tm.Rejected.Add(1)
-			if errors.Is(err, ErrRateLimited) {
-				s.Metrics.RateLimited.Add(1)
+		}
+		return out
+	}
+	lane := s.fq.Canonical(tenant)
+	now := s.cfg.Now()
+	var jobs []*Job // admitted jobs, in batch order
+	var idx []int   // jobs[k] answers items[idx[k]]
+	var recs []SubmitRecord
+	for i, it := range items {
+		if out[i].Err != nil {
+			continue
+		}
+		recovered := it.id != ""
+		id, submitted := it.id, it.submitted
+		if recovered {
+			if _, dup := s.jobs[id]; dup {
+				out[i].Err = fmt.Errorf("serve: job %s already exists", id)
+				continue
 			}
-			if errors.Is(err, fairsched.ErrQueueFull) {
-				return nil, ErrQueueFull
+		} else {
+			if err := s.fq.Admit(lane); err != nil {
+				if errors.Is(err, fairsched.ErrClosed) {
+					err = ErrShuttingDown
+				} else {
+					s.Metrics.reject(lane, err)
+					if errors.Is(err, fairsched.ErrQueueFull) {
+						err = ErrQueueFull
+					}
+				}
+				out[i].Err = err
+				continue
 			}
-			return nil, err
+			id, submitted = s.newID(), now
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		job := &Job{
+			ID:          id,
+			Tenant:      lane,
+			task:        it.Task,
+			ctx:         ctx,
+			cancel:      cancel,
+			done:        make(chan struct{}),
+			state:       StateQueued,
+			submitted:   submitted,
+			replayLimit: s.cfg.ReplayBuffer,
+			source:      it.Source,
+			// A recovered job's record is already in the journal.
+			journaled: s.cfg.Journal != nil && (recovered || it.Source != nil),
+		}
+		if job.journaled && !recovered {
+			recs = append(recs, SubmitRecord{ID: id, Tenant: lane, Problem: it.Task.Problem(), Submitted: submitted, Request: it.Source})
+		}
+		jobs = append(jobs, job)
+		idx = append(idx, i)
+	}
+
+	// Durability before acknowledgement, batch-wide: a failed append
+	// rejects every admitted item, because none of them is durably
+	// recorded.
+	if len(recs) > 0 {
+		if err := s.cfg.Journal.SubmittedBatch(recs); err != nil {
+			for k, job := range jobs {
+				job.cancel()
+				if items[idx[k]].id == "" {
+					s.fq.Unadmit(lane) // the reserved slot will never be pushed
+				}
+				out[idx[k]].Err = journalError{err}
+			}
+			return out
 		}
 	}
-	if s.cfg.Journal != nil && source != nil && !journaled {
-		// Durability before acknowledgement: if the journal can't hold
-		// the job, the client must not believe it was accepted.
-		if err := s.cfg.Journal.Submitted(job.ID, job.Tenant, job.submitted, task.Problem(), source); err != nil {
-			if admit {
-				// The rejected job will never be pushed: return its
-				// reserved queue slot so the caps don't leak shut.
-				s.fq.Unadmit(job.Tenant)
-			}
-			s.mu.Unlock()
-			cancel()
-			return nil, err
-		}
-		job.journaled = true
+	for k, job := range jobs {
+		s.Metrics.move(job.task.Problem(), lane, "", StateQueued)
+		s.fq.Push(lane, job) // cannot fail: fq closes under s.mu with closed=true
+		s.jobs[job.ID] = job
+		out[idx[k]].Job = job
 	}
-	// The gauge must rise before the job becomes visible to a worker:
-	// workers don't take s.mu, so incrementing after the Push lets an
-	// eager worker run Queued.Add(-1) first and the gauge goes negative.
-	s.Metrics.Submitted.Add(1)
-	s.Metrics.Queued.Add(1)
-	pm := s.Metrics.Problem(task.Problem())
-	pm.Submitted.Add(1)
-	pm.Queued.Add(1)
-	tm.Submitted.Add(1)
-	tm.Queued.Add(1)
-	s.fq.Push(job.Tenant, job) // cannot fail: fq closes under s.mu with closed=true
-	s.jobs[job.ID] = job
-	s.mu.Unlock()
-	return job, nil
+	return out
 }
 
 // Get returns a job by ID.
@@ -511,7 +430,7 @@ func (s *Scheduler) Cancel(id string) bool {
 		return false
 	}
 	job.cancel()
-	if s.cancelQueued(job) {
+	if s.settle(job, StateQueued, nil, context.Canceled) {
 		// Pull the corpse out of its lane so it stops occupying the
 		// tenant's queued quota and cannot clog a running-capped lane.
 		// (A job already popped — running, or coalesced on an in-flight
@@ -521,40 +440,65 @@ func (s *Scheduler) Cancel(id string) bool {
 	return true
 }
 
-// cancelQueued finalizes a job that is still queued as canceled,
-// fixing the gauges; it reports false (and does nothing) if the job
-// already left the queued state. Shared by Cancel and the coalesced
-// requeue path when the queue has shut down.
-func (s *Scheduler) cancelQueued(job *Job) bool {
+// settle is the only code that makes a job terminal. If the job is
+// still in state from (queued or running) it records the outcome — done
+// with res when err is nil, canceled on a context error, failed on any
+// other — and the finish time, moves the job's counters, publishes the
+// terminal event, retires its durable footprint and closes done. It
+// reports false, doing nothing, when the job already left from: a
+// concurrent path (a cancel racing a cache hit) settled it first.
+//
+// A job done while still queued was served from the result cache:
+// queued → done without ever running, consuming no solver randomness,
+// and its queue wait is observed here (submit → completion).
+func (s *Scheduler) settle(job *Job, from State, res *problem.Result, err error) bool {
+	to := StateDone
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		to = StateCanceled
+	default:
+		to = StateFailed
+	}
+	cached := to == StateDone && from == StateQueued
+	now := s.cfg.Now()
 	job.mu.Lock()
-	if job.state != StateQueued {
+	if job.state != from {
 		job.mu.Unlock()
 		return false
 	}
-	job.state = StateCanceled
-	job.err = context.Canceled
-	job.finished = s.cfg.Now()
-	job.expires = job.finished.Add(s.cfg.ResultTTL)
+	job.state, job.cached = to, cached
+	if err == nil {
+		job.result = res
+	} else {
+		job.err = err
+	}
+	job.finished = now
+	job.expires = now.Add(s.cfg.ResultTTL)
 	job.mu.Unlock()
-	s.Metrics.Queued.Add(-1)
-	s.Metrics.Canceled.Add(1)
-	pm := s.Metrics.Problem(job.task.Problem())
-	pm.Queued.Add(-1)
-	pm.Canceled.Add(1)
-	tm := s.Metrics.Tenant(job.Tenant)
-	tm.Queued.Add(-1)
-	tm.Canceled.Add(1)
-	job.publish("canceled", nil, 0, "")
-	// Retire before signalling done: an observer of Done() may rely on
-	// the durable footprint (journal record, checkpoints) being gone.
+	s.Metrics.move(job.task.Problem(), job.Tenant, from, to)
+	switch to {
+	case StateDone:
+		if cached {
+			s.Metrics.observeQueueWait(job.Tenant, now.Sub(job.submitted))
+		}
+		job.publish(string(to), nil, res.Objective, "")
+	case StateFailed:
+		job.publish(string(to), nil, 0, err.Error())
+	default:
+		job.publish(string(to), nil, 0, "")
+	}
+	// A cancelled job is terminal from the client's point of view (the
+	// cancel was asked for), so its journal record and checkpoints are
+	// retired like any other outcome; only a killed process leaves them
+	// behind for recovery. Retire before signalling done: an observer of
+	// Done() may rely on the durable footprint being gone.
 	s.retire(job)
 	close(job.done)
 	return true
 }
 
-// retire cleans up a terminal job's durable footprint: its journal
-// record (so the next boot will not recover it) and its checkpoint
-// directory. Failures are logged, not fatal — the job itself finished.
+// retire cleans up a terminal job's durable footprint.
 //
 // Exception: a job cancelled by the shutdown drain deadline was not
 // cancelled by anyone who wanted it gone — its record and checkpoint
@@ -570,14 +514,21 @@ func (s *Scheduler) retire(job *Job) {
 			return
 		}
 	}
-	if job.journaled && s.cfg.Journal != nil {
-		if err := s.cfg.Journal.Finished(job.ID); err != nil {
-			s.cfg.Logf("job %s: journal retire: %v", job.ID, err)
+	s.forget(job.ID, job.journaled)
+}
+
+// forget removes a job's durable footprint: its journal record (so the
+// next boot will not recover it), when it has one, and its checkpoint
+// directory. Failures are logged, not fatal — the job itself is over.
+func (s *Scheduler) forget(id string, journaled bool) {
+	if journaled && s.cfg.Journal != nil {
+		if err := s.cfg.Journal.Finished(id); err != nil {
+			s.cfg.Logf("job %s: journal retire: %v", id, err)
 		}
 	}
 	if s.cfg.CheckpointDir != "" {
-		if err := os.RemoveAll(s.jobCheckpointDir(job.ID)); err != nil {
-			s.cfg.Logf("job %s: checkpoint cleanup: %v", job.ID, err)
+		if err := os.RemoveAll(s.jobCheckpointDir(id)); err != nil {
+			s.cfg.Logf("job %s: checkpoint cleanup: %v", id, err)
 		}
 	}
 }
@@ -603,18 +554,15 @@ func (s *Scheduler) worker() {
 // no slot while it rides the leader's solve), after the job settles
 // otherwise.
 func (s *Scheduler) dispatch(job *Job) {
+	defer s.fq.Release(job.Tenant)
 	job.mu.Lock()
 	terminal := job.state.Terminal()
 	job.mu.Unlock()
 	if terminal {
-		// Canceled while queued; Cancel already finalized it and fixed
-		// the gauges.
-		s.fq.Release(job.Tenant)
-		return
+		return // canceled while queued; Cancel already settled it
 	}
 	if s.cache == nil {
 		s.run(job, "")
-		s.fq.Release(job.Tenant)
 		return
 	}
 	key := cacheKey(job.task)
@@ -624,19 +572,16 @@ func (s *Scheduler) dispatch(job *Job) {
 	switch role {
 	case rescache.RoleHit:
 		s.Metrics.CacheHits.Add(1)
-		s.finishCached(job, res)
-		s.fq.Release(job.Tenant)
+		s.settle(job, StateQueued, res, nil)
 	case rescache.RoleWaiter:
 		// An identical solve is in flight: ride it instead of burning a
 		// slot on a duplicate anneal. The job stays StateQueued (so
 		// Cancel keeps working) and the slot frees for other work; the
-		// callback finalizes it — or requeues it if the leader aborts.
+		// callback settles it — or requeues it if the leader aborts.
 		s.Metrics.CacheCoalesced.Add(1)
-		s.fq.Release(job.Tenant)
 	default:
 		s.Metrics.CacheMisses.Add(1)
 		s.run(job, key)
-		s.fq.Release(job.Tenant)
 	}
 }
 
@@ -649,39 +594,6 @@ func cacheKey(task problem.Task) string {
 	return task.InstanceHash() + "|" + task.DesignHash() + "|" + task.Label()
 }
 
-// finishCached settles a queued job with a cache-served result:
-// queued → done without ever running, consuming no solver randomness.
-// The job still gets its terminal SSE event and its journal record is
-// retired like any other outcome. No-op if the job turned terminal
-// concurrently (a cancel won the race — the cancel path owned the
-// gauges).
-func (s *Scheduler) finishCached(job *Job, res *problem.Result) {
-	now := s.cfg.Now()
-	job.mu.Lock()
-	if job.state.Terminal() {
-		job.mu.Unlock()
-		return
-	}
-	job.state = StateDone
-	job.result = res
-	job.cached = true
-	job.finished = now
-	job.expires = now.Add(s.cfg.ResultTTL)
-	job.mu.Unlock()
-	pm := s.Metrics.Problem(job.task.Problem())
-	tm := s.Metrics.Tenant(job.Tenant)
-	s.Metrics.Queued.Add(-1)
-	pm.Queued.Add(-1)
-	tm.Queued.Add(-1)
-	s.Metrics.Done.Add(1)
-	pm.Done.Add(1)
-	tm.Done.Add(1)
-	s.Metrics.ObserveQueueWait(job.Tenant, now.Sub(job.submitted))
-	job.publish("done", nil, res.Objective, "")
-	s.retire(job)
-	close(job.done)
-}
-
 // coalesced is the waiter callback for a job riding an identical
 // in-flight solve; it runs on the leader's worker goroutine. A
 // successful leader settles the waiter from the shared result; an
@@ -690,27 +602,31 @@ func (s *Scheduler) finishCached(job *Job, res *problem.Result) {
 // inherit the leader's fate.
 func (s *Scheduler) coalesced(job *Job, res *problem.Result, ok bool) {
 	if ok {
-		s.finishCached(job, res)
+		s.settle(job, StateQueued, res, nil)
 		return
 	}
 	job.mu.Lock()
 	terminal := job.state.Terminal()
 	job.mu.Unlock()
 	if terminal {
-		return // canceled while coalesced; Cancel finalized it
+		return // canceled while coalesced; Cancel settled it
 	}
 	if !s.fq.Push(job.Tenant, job) {
 		// Shutting down: nothing will pop a requeue, finalize instead.
-		s.cancelQueued(job)
+		s.settle(job, StateQueued, nil, context.Canceled)
 	}
 }
 
 // run executes one job on the calling worker's slot. A non-empty key
 // means this job leads a cache flight and must settle it: Complete on
 // success, Abort otherwise (so coalesced waiters are always notified).
+// The flight settles before the job turns terminal: waiters coalesced
+// on this solve finalize on this goroutine, so by the time this job
+// reports done its riders are done too, and a client that sees it done
+// finds the result cached.
 func (s *Scheduler) run(job *Job, key string) {
 	job.mu.Lock()
-	if job.state.Terminal() {
+	if job.state != StateQueued {
 		job.mu.Unlock()
 		if key != "" {
 			s.cache.Abort(key)
@@ -720,16 +636,25 @@ func (s *Scheduler) run(job *Job, key string) {
 	job.state = StateRunning
 	job.started = s.cfg.Now()
 	job.mu.Unlock()
-	pm := s.Metrics.Problem(job.task.Problem())
-	tm := s.Metrics.Tenant(job.Tenant)
-	s.Metrics.Queued.Add(-1)
-	s.Metrics.Running.Add(1)
-	pm.Queued.Add(-1)
-	pm.Running.Add(1)
-	tm.Queued.Add(-1)
-	tm.Running.Add(1)
-	s.Metrics.ObserveQueueWait(job.Tenant, job.started.Sub(job.submitted))
+	s.Metrics.move(job.task.Problem(), job.Tenant, StateQueued, StateRunning)
+	s.Metrics.observeQueueWait(job.Tenant, job.started.Sub(job.submitted))
 
+	res, err := s.solve(job)
+	if key != "" {
+		if err == nil {
+			s.cache.Complete(key, res)
+		} else {
+			s.cache.Abort(key)
+		}
+	}
+	s.settle(job, StateRunning, res, err)
+}
+
+// solve runs a job's solve — on this slot, or in coordinator mode on a
+// fleet worker — under problem.SolveGuarded: a rejected checkpoint is
+// discarded and the job solves fresh once, and a solver panic becomes
+// an error that fails the job instead of the process.
+func (s *Scheduler) solve(job *Job) (*problem.Result, error) {
 	run := problem.Run{
 		Progress: func(ev problem.Progress) {
 			pe := ev
@@ -745,7 +670,9 @@ func (s *Scheduler) run(job *Job, key string) {
 			s.cfg.Logf("job %s: resuming from checkpoint %s", job.ID, path)
 		}
 	}
-	solve := s.cfg.Solve
+	solve := func(ctx context.Context, run problem.Run) (*problem.Result, error) {
+		return s.cfg.Solve(ctx, job.task, run)
+	}
 	if s.cfg.Fleet != nil && len(job.source) > 0 {
 		// Coordinator mode: offer the job to the fleet and wait for a
 		// worker's result. The Run hooks flow through unchanged — the
@@ -763,80 +690,19 @@ func (s *Scheduler) run(job *Job, key string) {
 			CheckpointDir:   run.CheckpointDir,
 			CheckpointEvery: s.cfg.CheckpointEvery,
 		}
-		solve = func(ctx context.Context, _ problem.Task, run problem.Run) (*problem.Result, error) {
+		solve = func(ctx context.Context, run problem.Run) (*problem.Result, error) {
 			return s.cfg.Fleet.Offer(ctx, fj, run)
 		}
 	}
+	logf := func(format string, args ...any) {
+		s.cfg.Logf("job %s: %s", job.ID, fmt.Sprintf(format, args...))
+	}
 	start := s.cfg.Now()
-	res, err := solve(job.ctx, job.task, run)
-	if err != nil && run.CheckpointDir != "" &&
-		(errors.Is(err, checkpoint.ErrInvalid) || errors.Is(err, checkpoint.ErrMismatch)) {
-		// The checkpoint this job left behind is unusable (corrupt file,
-		// or the recovered request maps to a different design point).
-		// Never anneal from bad state and never fail the job for it:
-		// log the diagnostic, discard the directory, solve fresh.
-		s.Metrics.ResumeFailures.Add(1)
-		s.cfg.Logf("job %s: checkpoint rejected, solving fresh: %v", job.ID, err)
-		if rerr := os.RemoveAll(run.CheckpointDir); rerr != nil {
-			s.cfg.Logf("job %s: discarding checkpoint: %v", job.ID, rerr)
-		}
-		res, err = solve(job.ctx, job.task, run)
+	res, err := problem.SolveGuarded(job.ctx, run, solve, logf, func() { s.Metrics.ResumeFailures.Add(1) })
+	if err == nil {
+		s.Metrics.observeSolve(s.cfg.Now().Sub(start), res.Iterations)
 	}
-	elapsed := s.cfg.Now().Sub(start)
-	s.Metrics.Running.Add(-1)
-	pm.Running.Add(-1)
-	tm.Running.Add(-1)
-
-	if err == nil && key != "" {
-		// Settle the flight before the job turns terminal: waiters
-		// coalesced on this solve finalize on this goroutine, so by the
-		// time this job reports done its riders are done too, and a
-		// client that sees it done finds the result cached.
-		s.cache.Complete(key, res)
-	}
-	job.mu.Lock()
-	job.finished = s.cfg.Now()
-	job.expires = job.finished.Add(s.cfg.ResultTTL)
-	switch {
-	case err == nil:
-		job.state = StateDone
-		job.result = res
-		job.mu.Unlock()
-		s.Metrics.Done.Add(1)
-		pm.Done.Add(1)
-		tm.Done.Add(1)
-		s.Metrics.ObserveSolve(elapsed.Nanoseconds(), res.Iterations)
-		job.publish("done", nil, res.Objective, "")
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		job.state = StateCanceled
-		job.err = err
-		job.mu.Unlock()
-		s.Metrics.Canceled.Add(1)
-		pm.Canceled.Add(1)
-		tm.Canceled.Add(1)
-		if key != "" {
-			s.cache.Abort(key)
-		}
-		job.publish("canceled", nil, 0, "")
-	default:
-		job.state = StateFailed
-		job.err = err
-		job.mu.Unlock()
-		s.Metrics.Failed.Add(1)
-		pm.Failed.Add(1)
-		tm.Failed.Add(1)
-		if key != "" {
-			s.cache.Abort(key)
-		}
-		job.publish("failed", nil, 0, err.Error())
-	}
-	// A cancelled job is terminal from the client's point of view (the
-	// cancel was asked for), so its journal record and checkpoints are
-	// retired like any other outcome; only a killed process leaves them
-	// behind for recovery. Retire before signalling done so observers
-	// of Done() see the durable footprint already gone.
-	s.retire(job)
-	close(job.done)
+	return res, err
 }
 
 // janitor periodically expires finished jobs past their TTL.

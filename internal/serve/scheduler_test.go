@@ -131,16 +131,16 @@ func TestQueueFullBackpressure(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 1)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a") // a occupies the single slot
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit("", testTask(t, "b"), nil)
 	if err != nil {
 		t.Fatal(err) // b fills the single queue position
 	}
-	if _, err := s.Submit(testTask(t, "c")); !errors.Is(err, ErrQueueFull) {
+	if _, err := s.Submit("", testTask(t, "c"), nil); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submission: want ErrQueueFull, got %v", err)
 	}
 	if got := s.Metrics.Rejected.Load(); got != 1 {
@@ -162,12 +162,12 @@ func TestCancelWhileQueued(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit("", testTask(t, "b"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCancelWhileQueued(t *testing.T) {
 	if got := b.Status().State; got != StateCanceled {
 		t.Fatalf("state %s, want canceled", got)
 	}
-	c, err := s.Submit(testTask(t, "c"))
+	c, err := s.Submit("", testTask(t, "c"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,12 +204,12 @@ func TestCancelWhileRunningFreesSlot(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit("", testTask(t, "b"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestResultTTLExpiry(t *testing.T) {
 	clk := newFakeClock()
 	s := newTestScheduler(t, st, clk, 1, 4)
 
-	job, err := s.Submit(testTask(t, "a"))
+	job, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,12 +265,12 @@ func TestShutdownDrains(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, st, "a")
-	b, err := s.Submit(testTask(t, "b"))
+	b, err := s.Submit("", testTask(t, "b"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestShutdownDrains(t *testing.T) {
 	// Shutdown must refuse new work while draining.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := s.Submit(testTask(t, "late"))
+		_, err := s.Submit("", testTask(t, "late"), nil)
 		if errors.Is(err, ErrShuttingDown) {
 			break
 		}
@@ -313,7 +313,7 @@ func TestShutdownDeadlineCancelsInFlight(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestSubscribeReplayAfterCompletion(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
 
-	job, err := s.Submit(testTask(t, "a"))
+	job, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestSubscribeReplayAfterCompletion(t *testing.T) {
 func TestSubmitRejectsInvalidOptions(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 4)
-	if _, err := s.Submit(tspprob.New(cimsa.GenerateInstance("a", 10, 1), cimsa.Options{PMax: 99})); err == nil ||
+	if _, err := s.Submit("", tspprob.New(cimsa.GenerateInstance("a", 10, 1), cimsa.Options{PMax: 99}), nil); err == nil ||
 		!strings.Contains(err.Error(), "PMax") {
 		t.Fatalf("invalid options: got %v", err)
 	}
@@ -384,7 +384,7 @@ func TestSubmitBatchRespectsQueueCap(t *testing.T) {
 	st := newStubSolver()
 	s := newTestScheduler(t, st, nil, 1, 2)
 
-	a, err := s.Submit(testTask(t, "a"))
+	a, err := s.Submit("", testTask(t, "a"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

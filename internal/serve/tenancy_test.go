@@ -114,7 +114,7 @@ func TestDRRStarvationProof(t *testing.T) {
 		}},
 	})
 
-	pin, err := s.SubmitTenant("heavy", testTask(t, "pin"))
+	pin, err := s.Submit("heavy", testTask(t, "pin"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestDRRStarvationProof(t *testing.T) {
 	// Flood the heavy lane while the slot is pinned, then queue one
 	// light job last in arrival order.
 	for i := 0; i < 6; i++ {
-		if _, err := s.SubmitTenant("heavy", testTask(t, fmt.Sprintf("h%d", i))); err != nil {
+		if _, err := s.Submit("heavy", testTask(t, fmt.Sprintf("h%d", i)), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	light, err := s.SubmitTenant("light", testTask(t, "l0"))
+	light, err := s.Submit("light", testTask(t, "l0"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTenantQuotaRejections(t *testing.T) {
 	})
 
 	// Pin the slot so capped's jobs stay queued.
-	if _, err := s.SubmitTenant("capped", testTask(t, "pin")); err != nil {
+	if _, err := s.Submit("capped", testTask(t, "pin"), nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -181,17 +181,17 @@ func TestTenantQuotaRejections(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("pin job never started")
 	}
-	if _, err := s.SubmitTenant("capped", testTask(t, "q1")); err != nil {
+	if _, err := s.Submit("capped", testTask(t, "q1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.SubmitTenant("capped", testTask(t, "q2")); !isTenantQueueFull(err) {
+	if _, err := s.Submit("capped", testTask(t, "q2"), nil); !isTenantQueueFull(err) {
 		t.Fatalf("over-quota submit returned %v, want ErrTenantQueueFull", err)
 	}
 
-	if _, err := s.SubmitTenant("limited", testTask(t, "r1")); err != nil {
+	if _, err := s.Submit("limited", testTask(t, "r1"), nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := s.SubmitTenant("limited", testTask(t, "r2"))
+	_, err := s.Submit("limited", testTask(t, "r2"), nil)
 	var rle *fairsched.RateLimitError
 	if !asRateLimit(err, &rle) {
 		t.Fatalf("rate-limited submit returned %v, want RateLimitError", err)
@@ -226,7 +226,7 @@ func TestCacheHitBitIdentity(t *testing.T) {
 	// real solver path in both).
 	ref := NewScheduler(Config{MaxConcurrent: 1, QueueDepth: 4})
 	defer shutdownNow(t, ref)
-	rj, err := ref.Submit(tspprob.New(in, opts))
+	rj, err := ref.Submit("", tspprob.New(in, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +234,12 @@ func TestCacheHitBitIdentity(t *testing.T) {
 
 	s := NewScheduler(Config{MaxConcurrent: 1, QueueDepth: 4, CacheEntries: 16})
 	defer shutdownNow(t, s)
-	a, err := s.Submit(tspprob.New(in, opts))
+	a, err := s.Submit("", tspprob.New(in, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, a)
-	b, err := s.Submit(tspprob.New(in, opts))
+	b, err := s.Submit("", tspprob.New(in, opts), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	g := newGateSolver()
 	s := newGateScheduler(t, g, Config{MaxConcurrent: 2, QueueDepth: 8, CacheEntries: 16})
 
-	lead, err := s.Submit(testTask(t, "dup"))
+	lead, err := s.Submit("", testTask(t, "dup"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("leader never started")
 	}
-	rider, err := s.Submit(testTask(t, "dup"))
+	rider, err := s.Submit("", testTask(t, "dup"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestSingleFlightCoalescing(t *testing.T) {
 
 	// Proof the rider freed its slot: with the leader pinning worker 1,
 	// a later unrelated job still dispatches on worker 2.
-	if _, err := s.Submit(testTask(t, "other")); err != nil {
+	if _, err := s.Submit("", testTask(t, "other"), nil); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -357,7 +357,7 @@ func TestCoalescedRiderRequeuedOnLeaderCancel(t *testing.T) {
 	g := newGateSolver()
 	s := newGateScheduler(t, g, Config{MaxConcurrent: 2, QueueDepth: 8, CacheEntries: 16})
 
-	lead, err := s.Submit(testTask(t, "dup"))
+	lead, err := s.Submit("", testTask(t, "dup"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestCoalescedRiderRequeuedOnLeaderCancel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("leader never started")
 	}
-	rider, err := s.Submit(testTask(t, "dup"))
+	rider, err := s.Submit("", testTask(t, "dup"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,8 +29,11 @@ type Report struct {
 	// work counter is the sum over all replicas (the energy model sees
 	// the total work done), while Tour/Length come from the best one.
 	Solver clustered.Stats
-	// Chip carries the hardware PPA evaluation (zero value when
-	// Options.SkipHardware is set).
+	// Chip carries the hardware PPA evaluation. It is the zero value
+	// when Options.SkipHardware is set, and for an instance of at most
+	// cluster.TopThreshold (10) cities: that tour comes from the exact
+	// top-level solve alone, no level is annealed, and the chip model
+	// has no run to price.
 	Chip ChipReport
 }
 
@@ -260,7 +263,7 @@ func solve(ctx context.Context, in *Instance, opt Options, hook func(*checkpoint
 		Length:   res.Length,
 		Solver:   agg,
 	}
-	if !opt.SkipHardware {
+	if !opt.SkipHardware && runLevels > 0 {
 		prof := ppa.RunProfile{
 			Levels:             runLevels,
 			IterationsPerLevel: schedule.TotalIters(),
